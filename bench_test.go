@@ -97,7 +97,7 @@ func BenchmarkTable2Inclusion(b *testing.B) {
 
 func BenchmarkTable2EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := safety.Table2(table2Systems())
+		rows := safety.Table2(table2Systems(), safety.Options{})
 		if len(rows) != 5 {
 			b.Fatal("wrong row count")
 		}
@@ -417,7 +417,7 @@ func BenchmarkStreettVsLoopSearch(b *testing.B) {
 	})
 	b.Run("streett", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			liveness.CheckLivelockFreedomStreett(ts)
+			liveness.CheckStreett(ts, liveness.LivelockFreedom)
 		}
 	})
 }

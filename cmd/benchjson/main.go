@@ -177,7 +177,7 @@ func benchmarks(full bool) []namedBench {
 		name: "Table2EndToEnd",
 		fn: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows := safety.Table2(safety.PaperSystems(2, 2))
+				rows := safety.Table2(safety.PaperSystems(2, 2), safety.Options{})
 				if len(rows) != 5 {
 					b.Fatal("wrong row count")
 				}

@@ -103,7 +103,6 @@ import (
 	"tmcheck/internal/parbfs"
 	"tmcheck/internal/runtime"
 	"tmcheck/internal/safety"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 	"tmcheck/internal/wire"
@@ -117,11 +116,11 @@ var (
 )
 
 // buildBudgeted materializes one system at the process-wide worker
-// count under ctx plus the process-wide -maxstates/-maxmem limits, so
-// every subcommand that builds a full transition system is guarded the
-// same way.
+// count under ctx plus the -maxstates/-maxmem limits, so every
+// subcommand that builds a full transition system is guarded the same
+// way.
 func buildBudgeted(ctx context.Context, alg tm.Algorithm, cm tm.ContentionManager) (*explore.TS, error) {
-	return explore.BuildGuarded(alg, cm, parbfs.Workers(), guard.Process(ctx, space.MaxStates()))
+	return explore.BuildGuarded(alg, cm, parbfs.Workers(), guard.New(ctx, gflags.MaxStates, gflags.MaxMem))
 }
 
 // limitSummary finishes a keep-going table run: limited checks get a
@@ -139,9 +138,12 @@ func limitSummary(limits []*guard.LimitError) error {
 }
 
 // runJob routes one verification job: locally through job.Run, or to
-// the tmcheckd named by -remote. Both paths render the same Result the
-// same way, so the output bytes match up to wall-clock timings.
+// the tmcheckd named by -remote. Both paths carry the -maxstates and
+// -maxmem budgets in the spec and render the same Result the same way,
+// so the output bytes match up to wall-clock timings.
 func runJob(ctx context.Context, sp job.Spec) error {
+	sp.MaxStates = gflags.MaxStates
+	sp.MaxMem = gflags.MaxMem
 	sp.Checkpoint = gflags.Checkpoint
 	sp.Resume = gflags.Resume
 	sp.Spill = gflags.Spill
@@ -172,14 +174,13 @@ func runJob(ctx context.Context, sp job.Spec) error {
 // tripping -heartbeat-timeout) reconnects with capped exponential
 // backoff up to -retries attempts, and with -checkpoint set the
 // resubmission resumes from the snapshot the daemon already persisted.
-// The budget flags ride in the spec (the local Install is irrelevant
-// remotely), and streamed progress frames are re-emitted onto the
-// local bus so -progress and -trace work unchanged.
+// The worker count and deadline ride in the spec (the local Install
+// and signal context are irrelevant remotely), and streamed progress
+// frames are re-emitted onto the local bus so -progress and -trace
+// work unchanged.
 func runRemote(ctx context.Context, sp job.Spec) (*job.Result, error) {
 	sp.Workers = gflags.Workers
-	sp.MaxStates = gflags.MaxStates
 	sp.Timeout = gflags.Timeout
-	sp.MaxMem = gflags.MaxMem
 	var onProgress func(wire.Progress)
 	if obs.EventsEnabled() {
 		onProgress = func(p wire.Progress) {

@@ -72,11 +72,11 @@ func main() {
 	gf.Register(flag.CommandLine)
 	flag.Parse()
 	cfg.every = 50000
-	// No Install (the budgets go into the campaign's own guard), so the
-	// fault plan is installed explicitly.
+	// No Install (tmfuzz has no -workers), so the fault plan is
+	// installed explicitly.
 	gf.InstallChaos()
-	// The budgets go into the campaign's own guard, not the process-wide
-	// knobs (no Install): -maxstates here is cumulative across words.
+	// The budgets go into the campaign's own guard: -maxstates here is
+	// cumulative across words.
 	cfg.maxStates = gf.MaxStates
 	cfg.maxMem = gf.MaxMem
 	cfg.timeout = gf.Timeout

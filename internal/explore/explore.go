@@ -160,24 +160,15 @@ func Build(alg tm.Algorithm, cm tm.ContentionManager) *TS {
 // bit-identical for every worker count (see the parbfs package comment
 // for the argument; TestEngineEquivalence checks it on the registry).
 func BuildWorkers(alg tm.Algorithm, cm tm.ContentionManager, workers int) *TS {
-	ts, err := BuildBudget(alg, cm, workers, 0) // unbounded: only a TM panic can fail it
+	ts, err := BuildGuarded(alg, cm, workers, nil) // unbounded: only a TM panic can fail it
 	if err != nil {
 		// Preserve the historical contract of the unbudgeted builder —
 		// a panicking TM algorithm panics through — instead of
-		// returning a nil system. Guarded callers use BuildBudget or
-		// BuildGuarded and receive the error.
+		// returning a nil system. Guarded callers use BuildGuarded and
+		// receive the error.
 		panic(err)
 	}
 	return ts
-}
-
-// BuildBudget is BuildWorkers with a state budget: when maxStates > 0
-// and the reachable system has more states, the exploration stops with
-// a *space.BudgetError instead of materializing it (the parallel engine
-// checks at level barriers, so it may overshoot by one BFS level).
-// maxStates <= 0 means unbounded.
-func BuildBudget(alg tm.Algorithm, cm tm.ContentionManager, workers, maxStates int) (*TS, error) {
-	return BuildGuarded(alg, cm, workers, guard.New(nil, maxStates, 0))
 }
 
 // BuildGuarded is the fully guarded builder: the exploration honors
@@ -197,7 +188,7 @@ func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *gua
 	return ts, nil
 }
 
-// Barrier is the level-boundary hook of ScanLevels. It fires once per
+// Barrier is the level-boundary hook of ScanLevelsGuarded. It fires once per
 // BFS level with the adjacency constructed so far: states with ids
 // below expanded have their outgoing edges resolved in out, states in
 // [expanded, interned) are discovered but not yet expanded (their out
@@ -215,25 +206,16 @@ func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *gua
 // worker count.
 type Barrier func(out [][]Edge, interned, expanded int) error
 
-// ScanLevels lazily unfolds the TM×CM product in canonical scan order,
-// calling barrier at every BFS level boundary, without materializing a
-// TS. The on-the-fly liveness engine drives its lasso probes from this.
-// A positive maxStates bounds the states interned, failing with a
-// *space.BudgetError; the sequential scan trips it exactly, the
-// parallel one at level barriers (budget is checked before the barrier
-// hook runs, so a blown budget is reported in preference to whatever
-// the hook would have found at that boundary).
-func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, workers, maxStates int, barrier Barrier) error {
-	return ScanLevelsGuarded(alg, cm, workers, guard.New(nil, maxStates, 0), barrier)
-}
-
-// ScanLevelsGuarded is ScanLevels under a full resource guard: the
-// context, state budget, and heap watchdog are all consulted at the
-// points the budget alone used to be — per state in the sequential
-// scan and at level barriers in the parallel engine, always before the
-// barrier hook at the same boundary — so a cancelled or timed-out scan
-// still observes a prefix of the identical canonical barrier sequence
-// at every worker count.
+// ScanLevelsGuarded lazily unfolds the TM×CM product in canonical
+// scan order, calling barrier at every BFS level boundary, without
+// materializing a TS. The on-the-fly liveness engine drives its lasso
+// probes from this. The guard's context, state budget, and heap
+// watchdog are consulted per state in the sequential scan and at level
+// barriers in the parallel engine, always before the barrier hook at
+// the same boundary — so a blown budget is reported in preference to
+// whatever the hook would have found there, and a cancelled or
+// timed-out scan still observes a prefix of the identical canonical
+// barrier sequence at every worker count.
 func ScanLevelsGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) error {
 	_, _, _, err := scanControlled(alg, cm, workers, g, barrier)
 	return err

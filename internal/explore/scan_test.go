@@ -4,12 +4,13 @@ import (
 	"errors"
 	"testing"
 
+	"tmcheck/internal/guard"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
 // barrierTrace records the (expanded, interned) pairs and the resolved
-// prefix adjacency a ScanLevels run presents at its barriers.
+// prefix adjacency a ScanLevelsGuarded run presents at its barriers.
 type barrierTrace struct {
 	expanded, interned []int
 	edges              [][]int32 // successor ids of each expanded state, in order
@@ -18,7 +19,7 @@ type barrierTrace struct {
 func traceScan(t *testing.T, alg tm.Algorithm, cm tm.ContentionManager, workers int) barrierTrace {
 	t.Helper()
 	var tr barrierTrace
-	err := ScanLevels(alg, cm, workers, 0, func(out [][]Edge, interned, expanded int) error {
+	err := ScanLevelsGuarded(alg, cm, workers, nil, func(out [][]Edge, interned, expanded int) error {
 		tr.expanded = append(tr.expanded, expanded)
 		tr.interned = append(tr.interned, interned)
 		if len(tr.edges) == 0 { // capture the final adjacency once at the fixpoint
@@ -35,7 +36,7 @@ func traceScan(t *testing.T, alg tm.Algorithm, cm tm.ContentionManager, workers 
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanLevels(workers=%d): %v", workers, err)
+		t.Fatalf("ScanLevelsGuarded(workers=%d): %v", workers, err)
 	}
 	return tr
 }
@@ -97,7 +98,7 @@ func TestScanLevelsBarrierError(t *testing.T) {
 	sentinel := errors.New("stop here")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, 0, func(out [][]Edge, interned, expanded int) error {
+		err := ScanLevelsGuarded(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, nil, func(out [][]Edge, interned, expanded int) error {
 			calls++
 			if calls == 2 {
 				return sentinel
@@ -119,7 +120,7 @@ func TestScanLevelsBarrierError(t *testing.T) {
 func TestScanLevelsBudgetBeforeBarrier(t *testing.T) {
 	sentinel := errors.New("barrier ran")
 	for _, workers := range []int{1, 4} {
-		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, 2, func(out [][]Edge, interned, expanded int) error {
+		err := ScanLevelsGuarded(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, guard.New(nil, 2, 0), func(out [][]Edge, interned, expanded int) error {
 			if interned > 2 {
 				return sentinel
 			}

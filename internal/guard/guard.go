@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"tmcheck/internal/chaos"
@@ -186,10 +185,11 @@ func (e *LimitError) Is(target error) bool {
 // The ReadMemStats watchdog samples on an adaptive interval: after
 // each sample the next one is scheduled for when roughly a quarter of
 // the remaining headroom would be consumed at the observed allocation
-// rate, clamped to [memCheckMin, memCheckMax]. A scan allocating fast
-// near the cap is sampled every few hundred microseconds (bounding the
-// overshoot past -maxmem), while an idle or shrinking heap backs off
-// to the old fixed 50ms cadence and pays nothing extra per barrier.
+// rate, clamped to [memCheckMin, memCheckMax], but a growing heap
+// never lengthens it. A scan allocating fast near the cap is sampled
+// every few hundred microseconds (bounding the overshoot past -maxmem),
+// while an idle or shrinking heap backs off to the old fixed 50ms
+// cadence and pays nothing extra per barrier.
 const (
 	memCheckMin = 500 * time.Microsecond
 	memCheckMax = 50 * time.Millisecond
@@ -222,13 +222,6 @@ func New(ctx context.Context, maxStates int, maxMem uint64) *Guard {
 		maxStates = 0
 	}
 	return &Guard{ctx: ctx, start: time.Now(), maxStates: maxStates, maxMem: maxMem}
-}
-
-// Process returns a guard over ctx carrying the process-wide limits
-// installed by the CLI flags: the -maxstates budget passed by the
-// caller and the -maxmem heap cap of this package.
-func Process(ctx context.Context, maxStates int) *Guard {
-	return New(ctx, maxStates, MaxMem())
 }
 
 // MaxStates returns the guard's state budget (0 = unlimited).
@@ -328,9 +321,10 @@ func (g *Guard) Check(states int) error {
 // nextMemCheck schedules the watchdog's next heap sample from the
 // growth observed over the last interval: the time for the current
 // allocation rate to consume a quarter of the remaining headroom,
-// clamped to [memCheckMin, memCheckMax]. A flat or shrinking heap
-// doubles the interval instead (up to the max), so steady-state scans
-// converge back to the cheap cadence after an allocation burst.
+// clamped to [memCheckMin, memCheckMax] and never longer than the
+// current interval. Only a flat or shrinking heap lengthens it, by
+// doubling (up to the max), so steady-state scans converge back to the
+// cheap cadence after an allocation burst.
 func nextMemCheck(cur, dt time.Duration, prevHeap, heap, cap uint64, first bool) time.Duration {
 	if first || dt <= 0 {
 		return memCheckMin
@@ -345,6 +339,13 @@ func nextMemCheck(cur, dt time.Duration, prevHeap, heap, cap uint64, first bool)
 		return memCheckMin
 	}
 	next := time.Duration(float64(dt) * float64(cap-heap) / (4 * float64(heap-prevHeap)))
+	// A growing heap never lengthens the interval: a scheduling stall
+	// or a slow stretch of allocation inside the last interval makes the
+	// rate look low, and the allocator can be many times faster in the
+	// next one.
+	if next > cur {
+		next = cur
+	}
 	if next < memCheckMin {
 		return memCheckMin
 	}
@@ -392,17 +393,6 @@ func Capture(f func() error) (err error) {
 	}()
 	return f()
 }
-
-// maxMem is the process-wide heap cap in bytes; 0 means unlimited.
-var maxMem atomic.Uint64
-
-// MaxMem returns the process-wide heap cap installed by SetMaxMem (the
-// -maxmem flag of cmd/tmcheck), or 0 for unlimited.
-func MaxMem() uint64 { return maxMem.Load() }
-
-// SetMaxMem installs the process-wide heap cap in bytes; 0 resets to
-// unlimited.
-func SetMaxMem(bytes uint64) { maxMem.Store(bytes) }
 
 // FormatBytes renders a byte count with a binary suffix, e.g. "512MiB".
 func FormatBytes(n uint64) string {

@@ -119,9 +119,14 @@ func TestNextMemCheckSchedule(t *testing.T) {
 	if got := nextMemCheck(memCheckMax, time.Millisecond, 900<<20, 1000<<20, 1024<<20, false); got != memCheckMin {
 		t.Errorf("fast growth near cap = %v, want %v", got, memCheckMin)
 	}
-	// Slow growth far from the cap rides the ceiling.
-	if got := nextMemCheck(memCheckMin, 50*time.Millisecond, 10<<20, 10<<20+1024, 4096<<20, false); got != memCheckMax {
+	// Slow growth far from the cap keeps the ceiling once there...
+	if got := nextMemCheck(memCheckMax, 50*time.Millisecond, 10<<20, 10<<20+1024, 4096<<20, false); got != memCheckMax {
 		t.Errorf("slow growth far from cap = %v, want %v", got, memCheckMax)
+	}
+	// ...but never climbs toward it: a stall that stretched a 500µs
+	// interval to 50ms with little growth must not lengthen the next one.
+	if got := nextMemCheck(memCheckMin, 50*time.Millisecond, 10<<20, 10<<20+1024, 4096<<20, false); got != memCheckMin {
+		t.Errorf("stalled slow growth = %v, want %v", got, memCheckMin)
 	}
 	// A flat or shrinking heap backs off geometrically.
 	if got := nextMemCheck(memCheckMin, time.Millisecond, 100<<20, 90<<20, 1<<30, false); got != 2*memCheckMin {
@@ -129,7 +134,7 @@ func TestNextMemCheckSchedule(t *testing.T) {
 	}
 	// Steady growth schedules for a quarter of the headroom:
 	// 100MiB grown in 10ms with 400MiB headroom left → 10ms.
-	if got, want := nextMemCheck(memCheckMin, 10*time.Millisecond, 0, 100<<20, 500<<20, false), 10*time.Millisecond; got != want {
+	if got, want := nextMemCheck(10*time.Millisecond, 10*time.Millisecond, 0, 100<<20, 500<<20, false), 10*time.Millisecond; got != want {
 		t.Errorf("steady growth = %v, want %v", got, want)
 	}
 }

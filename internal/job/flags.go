@@ -89,15 +89,16 @@ import (
 	"tmcheck/internal/obs"
 	"tmcheck/internal/parbfs"
 	"tmcheck/internal/snap"
-	"tmcheck/internal/space"
 )
 
 // Flags holds the global flags every front-end shares: resource
 // budgets, the telemetry surfaces, profiling, and the remote-submit
 // address. Fill it with Extract (position-independent parsing, the
 // tmcheck style) or Register (a flag.FlagSet, the tmfuzz style), then
-// drive the lifecycle: Install to set the process-wide knobs, Begin
-// before the command, Finish after.
+// drive the lifecycle: Install to set the process-wide worker count
+// and fault plan, Begin before the command, Finish after. The budgets
+// are not process-wide: front-ends copy them into each job.Spec or
+// guard.
 type Flags struct {
 	Workers          int
 	MaxStates        int
@@ -291,20 +292,11 @@ func (b bytesFlag) Set(s string) error {
 	return nil
 }
 
-// Install publishes the resource flags to the process-wide knobs the
-// engines' default paths read: parbfs.Workers, space.MaxStates,
-// guard.MaxMem. Front-ends that scope budgets per job (tmcheckd, or
-// tmfuzz's cumulative spec-state budget) skip Install and put the
-// fields in the Spec or guard themselves.
+// Install publishes -workers to the process-wide parbfs.Workers the
+// engines default to, and installs the -chaos-seed fault plan.
 func (g *Flags) Install() {
 	if g.Workers > 0 {
 		parbfs.SetWorkers(g.Workers)
-	}
-	if g.MaxStates > 0 {
-		space.SetMaxStates(g.MaxStates)
-	}
-	if g.MaxMem > 0 {
-		guard.SetMaxMem(g.MaxMem)
 	}
 	g.InstallChaos()
 }

@@ -68,11 +68,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("unknown job kind %q (want safety, liveness, table2 or table3)", s)
 }
 
-// Spec is one verification job, serializable over internal/wire. The
-// zero values of the resource fields mean "resolve from the
-// process-wide knobs" (the CLI's -workers/-maxstates/-maxmem), so a
-// Spec built from CLI flags runs exactly as the flags dictate, and a
-// daemon fills its own defaults before running.
+// Spec is one verification job, serializable over internal/wire. Its
+// budgets are the only ones the job runs under: a zero MaxStates,
+// Timeout or MaxMem means unlimited, and a zero Workers takes the
+// process-wide worker count (the CLI's -workers). A daemon fills its
+// own defaults before running.
 type Spec struct {
 	// Kind selects the job shape.
 	Kind Kind
@@ -95,14 +95,13 @@ type Spec struct {
 	// Workers is the parallel-engine worker count; <= 0 resolves to the
 	// process-wide parbfs.Workers().
 	Workers int
-	// MaxStates bounds the states any check constructs; <= 0 resolves
-	// to the process-wide space.MaxStates() (0 there means unlimited).
+	// MaxStates bounds the states any check constructs; <= 0 means
+	// unlimited.
 	MaxStates int
 	// Timeout bounds the job's wall-clock; 0 means no deadline beyond
 	// the caller's context.
 	Timeout time.Duration
-	// MaxMem is the heap cap in bytes; 0 resolves to the process-wide
-	// guard.MaxMem().
+	// MaxMem is the heap cap in bytes; 0 means unlimited.
 	MaxMem uint64
 	// Checkpoint names a snapshot file the run appends the interned
 	// state-space prefix to at every guard barrier, so a killed or

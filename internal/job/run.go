@@ -2,14 +2,10 @@ package job
 
 import (
 	"context"
-	"time"
 
 	"tmcheck/internal/explore"
-	"tmcheck/internal/guard"
 	"tmcheck/internal/liveness"
-	"tmcheck/internal/obs"
 	"tmcheck/internal/pack"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/safety"
 	"tmcheck/internal/snap"
 	"tmcheck/internal/space"
@@ -142,14 +138,6 @@ func annotateSnapshot(res *Result, err error, path string) {
 	}
 }
 
-// phaseFn opens an obs phase unless the config suppresses them.
-func phaseFn(cfg Config, name string) func() {
-	if cfg.NoPhases {
-		return func() {}
-	}
-	return obs.Phase(name)
-}
-
 // system resolves the spec's TM and manager from the registries.
 func system(sp Spec) (tm.Algorithm, tm.ContentionManager, error) {
 	alg, err := tm.NewAlgorithm(sp.TM, sp.Threads, sp.Vars)
@@ -163,12 +151,10 @@ func system(sp Spec) (tm.Algorithm, tm.ContentionManager, error) {
 	return alg, cm, nil
 }
 
-func runSafety(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
-	alg, cm, err := system(sp)
-	if err != nil {
-		return err
-	}
-	r, err := safety.VerifyOpts(alg, cm, sp.property(), safety.Options{
+// safetyOptions and livenessOptions scope the spec's budgets, the run
+// config and the persistence wiring to one job.
+func safetyOptions(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider) safety.Options {
+	return safety.Options{
 		Workers:   sp.Workers,
 		MaxStates: sp.MaxStates,
 		MaxMem:    sp.MaxMem,
@@ -176,7 +162,26 @@ func runSafety(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 		Ctx:       ctx,
 		NoPhases:  cfg.NoPhases,
 		Persist:   prov,
-	})
+	}
+}
+
+func livenessOptions(ctx context.Context, sp Spec, cfg Config, prov explore.PersistProvider) liveness.Options {
+	return liveness.Options{
+		Workers:   sp.Workers,
+		MaxStates: sp.MaxStates,
+		MaxMem:    sp.MaxMem,
+		Ctx:       ctx,
+		NoPhases:  cfg.NoPhases,
+		Persist:   prov,
+	}
+}
+
+func runSafety(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
+	alg, cm, err := system(sp)
+	if err != nil {
+		return err
+	}
+	r, err := safety.VerifyOpts(alg, cm, sp.property(), safetyOptions(ctx, sp, cfg, engine, prov))
 	if err != nil {
 		return err
 	}
@@ -189,60 +194,15 @@ func runLiveness(ctx context.Context, sp Spec, cfg Config, engine space.Engine, 
 	if err != nil {
 		return err
 	}
-	if engine == space.EngineOnTheFly {
-		row, err := liveness.CheckAllOnTheFlyOpts(alg, cm, liveness.Options{
-			Workers:   sp.Workers,
-			MaxStates: sp.MaxStates,
-			MaxMem:    sp.MaxMem,
-			Ctx:       ctx,
-			NoPhases:  cfg.NoPhases,
-		})
-		if err != nil {
-			return err
-		}
-		res.Checks = []Check{
-			checkFromLiveness(row.Obstruction),
-			checkFromLiveness(row.Livelock),
-			checkFromLiveness(row.Wait),
-		}
-		return nil
-	}
-	workers := sp.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
-	}
-	maxStates := sp.MaxStates
-	if maxStates <= 0 {
-		maxStates = space.MaxStates()
-	}
-	maxMem := sp.MaxMem
-	if maxMem == 0 {
-		maxMem = guard.MaxMem()
-	}
-	buildStart := time.Now()
-	buildDone := phaseFn(cfg, "build-tm")
-	ts, err := explore.BuildProviderGuarded(alg, cm, workers, guard.New(ctx, maxStates, maxMem), prov)
-	buildDone()
+	row, err := liveness.CheckAll(alg, cm, engine, livenessOptions(ctx, sp, cfg, prov))
 	if err != nil {
 		return err
 	}
-	buildElapsed := time.Since(buildStart)
-	checks := make([]Check, 0, 3)
-	for _, c := range []struct {
-		prop  liveness.Prop
-		check func(*explore.TS) liveness.Result
-	}{
-		{liveness.ObstructionFreedom, liveness.CheckObstructionFreedom},
-		{liveness.LivelockFreedom, liveness.CheckLivelockFreedom},
-		{liveness.WaitFreedom, liveness.CheckWaitFreedom},
-	} {
-		checkDone := phaseFn(cfg, "check:"+c.prop.Key())
-		checks = append(checks, checkFromLiveness(c.check(ts)))
-		checkDone()
+	res.Checks = []Check{
+		checkFromLiveness(row.Obstruction),
+		checkFromLiveness(row.Livelock),
+		checkFromLiveness(row.Wait),
 	}
-	checks[0].BuildTMNS = buildElapsed.Nanoseconds()
-	checks[0].Resumed = ts.Resumed
-	res.Checks = checks
 	return nil
 }
 
@@ -257,15 +217,7 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 			systems = append(systems, safety.System{Alg: alg})
 		}
 	}
-	rows := safety.Table2ResilientOpts(systems, engine, safety.Options{
-		Workers:   sp.Workers,
-		MaxStates: sp.MaxStates,
-		MaxMem:    sp.MaxMem,
-		Ctx:       ctx,
-		NoPhases:  cfg.NoPhases,
-		Persist:   prov,
-	})
-	for _, row := range rows {
+	for _, row := range safety.Table2(systems, safetyOptions(ctx, sp, cfg, engine, prov)) {
 		res.Checks = append(res.Checks, checkFromSafety(row.SS), checkFromSafety(row.OP))
 	}
 	return nil
@@ -273,15 +225,7 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 
 func runTable3(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
 	systems := liveness.PaperSystems(sp.Threads, sp.Vars)
-	rows := liveness.Table3ResilientOpts(systems, engine, liveness.Options{
-		Workers:   sp.Workers,
-		MaxStates: sp.MaxStates,
-		MaxMem:    sp.MaxMem,
-		Ctx:       ctx,
-		NoPhases:  cfg.NoPhases,
-		Persist:   prov,
-	})
-	for _, row := range rows {
+	for _, row := range liveness.Table3(systems, engine, livenessOptions(ctx, sp, cfg, prov)) {
 		res.Checks = append(res.Checks,
 			checkFromLiveness(row.Obstruction),
 			checkFromLiveness(row.Livelock),

@@ -425,7 +425,6 @@ func (cs *connState) submit(reqID uint64, sp job.Spec) {
 	go func() {
 		defer s.jobWG.Done()
 		defer jobCancel()
-		defer s.journal.done(jid)
 		defer func() {
 			cs.mu.Lock()
 			delete(cs.reqs, reqID)
@@ -438,6 +437,7 @@ func (cs *connState) submit(reqID uint64, sp job.Spec) {
 			defer func() { <-s.sem }()
 		case <-jobCtx.Done():
 			le := job.LimitFrom(&guard.LimitError{Kind: guard.KindCancelled})
+			s.journal.done(jid)
 			_ = cs.wc.Write(reqID, wire.ResultMsg{ErrMsg: le.Err().Error(), Limit: le})
 			return
 		}
@@ -459,6 +459,9 @@ func (cs *connState) submit(reqID uint64, sp job.Spec) {
 		}
 		s.cfg.Logf("tmcheckd: %s req %d: %s done in %v (err=%v)",
 			cs.nc.RemoteAddr(), reqID, sp.Kind, time.Since(start).Round(time.Millisecond), err)
+		// Journal the completion before the result leaves: a client
+		// holding its result must never find the job orphaned.
+		s.journal.done(jid)
 		if werr := cs.wc.Write(reqID, msg); werr != nil && !errors.Is(werr, net.ErrClosed) {
 			s.cfg.Logf("tmcheckd: %s req %d: result write failed: %v", cs.nc.RemoteAddr(), reqID, werr)
 		}

@@ -35,11 +35,11 @@ func ExampleCheckLivelockFreedom() {
 	// loop: a2, (o,1)2, a1, (o,1)1
 }
 
-func ExampleCheckOnTheFly() {
+func ExampleCheckOnTheFlyOpts() {
 	// The on-the-fly engine explores the managed TM lazily and stops at
 	// the first violating lasso; verdicts and loop words are identical
 	// to the materialized checks above for every -workers count.
-	res, err := liveness.CheckOnTheFly(tm.NewDSTM(2, 1), tm.Polite{}, liveness.ObstructionFreedom)
+	res, err := liveness.CheckOnTheFlyOpts(tm.NewDSTM(2, 1), tm.Polite{}, liveness.ObstructionFreedom, liveness.Options{})
 	if err != nil {
 		panic(err)
 	}

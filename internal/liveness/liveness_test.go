@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tmcheck/internal/explore"
+	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -11,7 +12,7 @@ import (
 // with the aggressive manager is obstruction free, everything else is not;
 // no system is livelock free (hence none is wait free).
 func TestTheorem6Table3(t *testing.T) {
-	rows := Table3(PaperSystems(2, 1))
+	rows := Table3(PaperSystems(2, 1), space.EngineMaterialized, Options{})
 	names := []string{"seq", "2pl", "dstm+aggressive", "tl2+polite"}
 	wantObstruction := []bool{false, false, true, false}
 	for i, row := range rows {
@@ -184,7 +185,7 @@ func TestWaitFreedomStrictlyStronger(t *testing.T) {
 // Liveness verdicts are stable at (2,2): the reduction theorem says (2,1)
 // suffices, and adding a variable must not rescue any property.
 func TestLivenessAtTwoVars(t *testing.T) {
-	rows := Table3(PaperSystems(2, 2))
+	rows := Table3(PaperSystems(2, 2), space.EngineMaterialized, Options{})
 	wantObstruction := []bool{false, false, true, false}
 	for i, row := range rows {
 		if row.Obstruction.Holds != wantObstruction[i] {

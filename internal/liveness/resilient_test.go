@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tmcheck/internal/core"
+	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
@@ -35,36 +36,32 @@ func cells(row Table3Row) []Result {
 }
 
 // TestTable3ResilientMatchesFailFast checks the keep-going driver is a
-// strict generalization: without limits it reproduces the fail-fast
-// drivers' rows exactly, in both engines, with no Limit set.
+// strict generalization of the fail-fast checks: without limits every
+// cell reproduces a standalone single-property check exactly, in both
+// engines, with no Limit set.
 func TestTable3ResilientMatchesFailFast(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	otfWant, err := Table3OnTheFly(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matWant := Table3(systems)
-	for _, tc := range []struct {
-		engine space.Engine
-		want   []Table3Row
-	}{
-		{space.EngineOnTheFly, otfWant},
-		{space.EngineMaterialized, matWant},
-	} {
-		got := Table3Resilient(context.Background(), systems, tc.engine)
-		if len(got) != len(tc.want) {
-			t.Fatalf("engine %v: %d rows, want %d", tc.engine, len(got), len(tc.want))
+	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
+		got := Table3(systems, engine, Options{})
+		if len(got) != len(systems) {
+			t.Fatalf("engine %v: %d rows, want %d", engine, len(got), len(systems))
 		}
-		for i := range got {
-			gs, ws := cells(got[i]), cells(tc.want[i])
-			for j := range gs {
-				g, w := gs[j], ws[j]
+		for i, sys := range systems {
+			ts := explore.Build(sys.Alg, sys.CM)
+			for _, g := range cells(got[i]) {
+				w := checkTS(ts, g.Prop)
+				if engine == space.EngineOnTheFly {
+					var err error
+					if w, err = CheckOnTheFlyOpts(sys.Alg, sys.CM, g.Prop, Options{Workers: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if g.Limit != nil {
-					t.Errorf("engine %v: %s %v unexpectedly limited: %v", tc.engine, g.System, g.Prop, g.Limit)
+					t.Errorf("engine %v: %s %v unexpectedly limited: %v", engine, g.System, g.Prop, g.Limit)
 				}
 				if g.Holds != w.Holds || g.LoopWord() != w.LoopWord() || g.TMStates != w.TMStates {
 					t.Errorf("engine %v: %s %v = (%v, %q, %d states), fail-fast (%v, %q, %d states)",
-						tc.engine, g.System, g.Prop, g.Holds, g.LoopWord(), g.TMStates,
+						engine, g.System, g.Prop, g.Holds, g.LoopWord(), g.TMStates,
 						w.Holds, w.LoopWord(), w.TMStates)
 				}
 			}
@@ -78,11 +75,9 @@ func TestTable3ResilientMatchesFailFast(t *testing.T) {
 // engine, violations the probes found before the stop keep their full
 // Results (partial rows, the heart of keep-going liveness).
 func TestTable3ResilientKeepsGoing(t *testing.T) {
-	prev := space.MaxStates()
-	defer space.SetMaxStates(prev)
-	space.SetMaxStates(50)
+	opts := Options{MaxStates: 50}
 	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
-		rows := Table3Resilient(context.Background(), PaperSystems(2, 1), engine)
+		rows := Table3(PaperSystems(2, 1), engine, opts)
 		if len(rows) != 4 {
 			t.Fatalf("engine %v: %d rows, want 4", engine, len(rows))
 		}
@@ -107,7 +102,7 @@ func TestTable3ResilientKeepsGoing(t *testing.T) {
 	// the 50-state budget before obstruction freedom's fixpoint, but its
 	// livelock violation is found by an earlier probe and must survive
 	// with its loop word.
-	rows := Table3Resilient(context.Background(), PaperSystems(2, 1), space.EngineOnTheFly)
+	rows := Table3(PaperSystems(2, 1), space.EngineOnTheFly, opts)
 	dstm := rows[2]
 	if dstm.Obstruction.Limit == nil {
 		t.Fatalf("dstm obstruction = %+v, want limited", dstm.Obstruction)
@@ -132,7 +127,7 @@ func TestTable3ResilientIsolatesPanicTM(t *testing.T) {
 	}
 	systems := []System{{Alg: tm.NewSeq(2, 1)}, {Alg: broken, CM: tm.Aggressive{}}}
 	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
-		rows := Table3Resilient(context.Background(), systems, engine)
+		rows := Table3(systems, engine, Options{})
 		if len(rows) != 2 {
 			t.Fatalf("engine %v: %d rows, want 2", engine, len(rows))
 		}

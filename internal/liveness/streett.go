@@ -406,53 +406,15 @@ func stemTo(out [][]explore.Edge, dst int32) []explore.Edge {
 	return nil
 }
 
-// CheckObstructionFreedomStreett runs the obstruction-freedom search as
-// a single full-graph Streett query (no probe schedule) — an
-// independent backend the probe-based CheckObstructionFreedom is
-// cross-validated against in the tests.
-func CheckObstructionFreedomStreett(ts *explore.TS) Result {
+// CheckStreett runs p's violation search as a single full-graph
+// Streett query (no probe schedule) — an independent backend the
+// probe-based checks are cross-validated against in the tests.
+func CheckStreett(ts *explore.TS, p Prop) Result {
 	start := time.Now()
-	res := newResult(ts, ObstructionFreedom)
-	for t := core.Thread(0); int(t) < ts.Alg.Threads(); t++ {
-		restrict, require := obstructionStreett(t)
-		if stem, loop := FindStreettRun(ts.Out, restrict, nil, require); loop != nil {
-			res.Holds = false
-			res.Stem, res.Loop = stem, loop
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	res.record()
-	return res
-}
-
-// CheckLivelockFreedomStreett is the single full-graph Streett query for
-// livelock freedom; see CheckObstructionFreedomStreett.
-func CheckLivelockFreedomStreett(ts *explore.TS) Result {
-	start := time.Now()
-	res := newResult(ts, LivelockFreedom)
-	restrict, pairs, require := livelockStreett(ts.Alg.Threads())
-	if stem, loop := FindStreettRun(ts.Out, restrict, pairs, require); loop != nil {
+	res := newResult(ts, p)
+	if stem, loop := lassoSearch(ts.Out, ts.Alg.Threads(), p); loop != nil {
 		res.Holds = false
 		res.Stem, res.Loop = stem, loop
-	}
-	res.Elapsed = time.Since(start)
-	res.record()
-	return res
-}
-
-// CheckWaitFreedomStreett is the single full-graph Streett query for
-// wait freedom; see CheckObstructionFreedomStreett.
-func CheckWaitFreedomStreett(ts *explore.TS) Result {
-	start := time.Now()
-	res := newResult(ts, WaitFreedom)
-	for t := core.Thread(0); int(t) < ts.Alg.Threads(); t++ {
-		restrict, require := waitStreett(t)
-		if stem, loop := FindStreettRun(ts.Out, restrict, nil, require); loop != nil {
-			res.Holds = false
-			res.Stem, res.Loop = stem, loop
-			break
-		}
 	}
 	res.Elapsed = time.Since(start)
 	res.record()

@@ -7,8 +7,8 @@ import (
 	"tmcheck/internal/tm"
 )
 
-// The general Streett engine and the bespoke loop searches must agree on
-// every system we can build.
+// The general Streett engine and the probe-schedule checks must agree
+// on every property of every system we can build.
 func TestStreettBackendAgreesWithLoopSearch(t *testing.T) {
 	var systems []System
 	for _, name := range []string{"seq", "2pl", "dstm", "tl2", "norec", "etl"} {
@@ -26,24 +26,23 @@ func TestStreettBackendAgreesWithLoopSearch(t *testing.T) {
 	}
 	for _, sys := range systems {
 		ts := explore.Build(sys.Alg, sys.CM)
-		loopOF := CheckObstructionFreedom(ts)
-		strOF := CheckObstructionFreedomStreett(ts)
-		if loopOF.Holds != strOF.Holds {
-			t.Errorf("%s: obstruction freedom loop=%v streett=%v",
-				ts.Name(), loopOF.Holds, strOF.Holds)
-		}
-		loopLF := CheckLivelockFreedom(ts)
-		strLF := CheckLivelockFreedomStreett(ts)
-		if loopLF.Holds != strLF.Holds {
-			t.Errorf("%s: livelock freedom loop=%v streett=%v",
-				ts.Name(), loopLF.Holds, strLF.Holds)
-		}
-		// Witnesses from the Streett engine must have the right shape.
-		if !strOF.Holds {
-			validateObstructionLoop(t, ts.Name(), strOF)
-		}
-		if !strLF.Holds {
-			validateLivelockLoop(t, ts.Name(), strLF)
+		for _, p := range Props {
+			loop, str := checkTS(ts, p), CheckStreett(ts, p)
+			if loop.Holds != str.Holds {
+				t.Errorf("%s: %v loop=%v streett=%v", ts.Name(), p, loop.Holds, str.Holds)
+			}
+			if str.Holds {
+				continue
+			}
+			// Witnesses from the Streett engine must have the right shape.
+			switch p {
+			case ObstructionFreedom:
+				validateObstructionLoop(t, ts.Name(), str)
+			case LivelockFreedom:
+				validateLivelockLoop(t, ts.Name(), str)
+			case WaitFreedom:
+				validateWaitLoop(t, ts.Name(), str)
+			}
 		}
 	}
 }
@@ -98,6 +97,27 @@ func validateLivelockLoop(t *testing.T, name string, res Result) {
 	}
 }
 
+func validateWaitLoop(t *testing.T, name string, res Result) {
+	t.Helper()
+	aborts := map[int]bool{}
+	commits := map[int]bool{}
+	for _, e := range res.Loop {
+		switch e.X.Kind {
+		case tm.XAbort:
+			aborts[int(e.T)] = true
+		case tm.XCommit:
+			commits[int(e.T)] = true
+		}
+	}
+	for th := range aborts {
+		if !commits[th] {
+			return
+		}
+	}
+	t.Errorf("%s: wait loop has no thread that aborts without committing: %q",
+		name, explore.FormatRun(res.Loop))
+}
+
 // Agreement must also hold at (2,2) and (3,1), where the graphs are larger
 // and the subset-enumeration shortcut of the loop search differs most from
 // the polynomial Streett decomposition.
@@ -105,11 +125,10 @@ func TestStreettBackendLargerInstances(t *testing.T) {
 	for _, dims := range [][2]int{{2, 2}, {3, 1}} {
 		for _, sys := range PaperSystems(dims[0], dims[1]) {
 			ts := explore.Build(sys.Alg, sys.CM)
-			if a, b := CheckObstructionFreedom(ts), CheckObstructionFreedomStreett(ts); a.Holds != b.Holds {
-				t.Errorf("%s at %v: obstruction loop=%v streett=%v", ts.Name(), dims, a.Holds, b.Holds)
-			}
-			if a, b := CheckLivelockFreedom(ts), CheckLivelockFreedomStreett(ts); a.Holds != b.Holds {
-				t.Errorf("%s at %v: livelock loop=%v streett=%v", ts.Name(), dims, a.Holds, b.Holds)
+			for _, p := range []Prop{ObstructionFreedom, LivelockFreedom} {
+				if a, b := checkTS(ts, p), CheckStreett(ts, p); a.Holds != b.Holds {
+					t.Errorf("%s at %v: %v loop=%v streett=%v", ts.Name(), dims, p, a.Holds, b.Holds)
+				}
 			}
 		}
 	}

@@ -3,15 +3,23 @@ package liveness
 import (
 	"reflect"
 	"testing"
+
+	"tmcheck/internal/space"
 )
 
-// TestTable3ParallelMatchesSequential drives the concurrent Table 3
-// path explicitly and checks the rows — verdicts and counterexample
-// loops — against the sequential driver.
+// TestTable3ParallelMatchesSequential fans the Table 3 rows out over
+// four workers and checks the rows — verdicts and counterexample loops
+// — against a one-worker run, in both engines.
 func TestTable3ParallelMatchesSequential(t *testing.T) {
+	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
+		table3ParallelMatchesSequential(t, engine)
+	}
+}
+
+func table3ParallelMatchesSequential(t *testing.T, engine space.Engine) {
 	systems := PaperSystems(2, 1)
-	seq := table3Seq(systems)
-	par := table3Par(systems, 4)
+	seq := Table3(systems, engine, Options{Workers: 1})
+	par := Table3(systems, engine, Options{Workers: 4})
 	if len(par) != len(seq) {
 		t.Fatalf("row count: parallel %d, sequential %d", len(par), len(seq))
 	}

@@ -9,7 +9,6 @@ import (
 
 	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
@@ -32,28 +31,22 @@ func (p panicAfter) Steps(q tm.State, c core.Command, t core.Thread) []tm.Step {
 }
 
 // TestTable2ResilientMatchesFailFast checks the keep-going driver is a
-// strict generalization: without limits it reproduces the fail-fast
-// drivers' verdicts exactly, in both engines, with no Limit set.
+// strict generalization of the fail-fast checks: without limits every
+// cell reproduces a standalone VerifyOpts check exactly, in both
+// engines, with no Limit set.
 func TestTable2ResilientMatchesFailFast(t *testing.T) {
 	systems := PaperSystems(2, 2)
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		got := Table2Resilient(context.Background(), systems, engine)
-		var want []Table2Row
-		var err error
-		if engine == EngineOnTheFly {
-			want, err = Table2OnTheFly(systems)
-		} else {
-			want, err = Table2Materialized(systems)
+		got := Table2(systems, Options{Engine: engine})
+		if len(got) != len(systems) {
+			t.Fatalf("engine %v: %d rows, want %d", engine, len(got), len(systems))
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("engine %v: %d rows, want %d", engine, len(got), len(want))
-		}
-		for i := range got {
-			for _, pair := range [][2]Result{{got[i].SS, want[i].SS}, {got[i].OP, want[i].OP}} {
-				g, w := pair[0], pair[1]
+		for i, sys := range systems {
+			for _, g := range []Result{got[i].SS, got[i].OP} {
+				w, err := VerifyOpts(sys.Alg, sys.CM, g.Prop, Options{Workers: 1, Engine: engine})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if g.Limit != nil {
 					t.Errorf("engine %v: %s %v unexpectedly limited: %v", engine, g.System, g.Prop, g.Limit)
 				}
@@ -71,15 +64,12 @@ func TestTable2ResilientMatchesFailFast(t *testing.T) {
 // that stops the big TMs: the small ones must still resolve, the
 // stopped ones must carry a typed states limit, and no error escapes.
 func TestTable2ResilientKeepsGoing(t *testing.T) {
-	prev := space.MaxStates()
-	defer space.SetMaxStates(prev)
 	// The materialized pipeline charges the full deterministic spec
 	// (5614 ss states at (2,2)) to every check, so it needs a larger
 	// budget than the lazy engine for the small systems to fit.
 	budgets := map[Engine]int{EngineOnTheFly: 200, EngineMaterialized: 8000}
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		space.SetMaxStates(budgets[engine])
-		rows := Table2Resilient(context.Background(), PaperSystems(2, 2), engine)
+		rows := Table2(PaperSystems(2, 2), Options{MaxStates: budgets[engine], Engine: engine})
 		resolved, limited := 0, 0
 		for _, row := range rows {
 			for _, r := range []Result{row.SS, row.OP} {
@@ -104,7 +94,7 @@ func TestTable2ResilientKeepsGoing(t *testing.T) {
 func TestTable2ResilientCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows := Table2Resilient(ctx, PaperSystems(2, 2), EngineOnTheFly)
+	rows := Table2(PaperSystems(2, 2), Options{Engine: EngineOnTheFly, Ctx: ctx})
 	for _, row := range rows {
 		for _, r := range []Result{row.SS, row.OP} {
 			if r.Limit == nil || r.Limit.Kind != guard.KindCancelled {
@@ -130,7 +120,7 @@ func TestTable2ResilientIsolatesPanicTM(t *testing.T) {
 	}
 	systems := []System{{Alg: tm.NewSeq(2, 2)}, {Alg: broken}}
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		rows := Table2Resilient(context.Background(), systems, engine)
+		rows := Table2(systems, Options{Engine: engine})
 		if len(rows) != 2 {
 			t.Fatalf("engine %v: %d rows, want 2", engine, len(rows))
 		}

@@ -21,7 +21,7 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
+	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
@@ -91,14 +91,7 @@ func Check(ts *explore.TS, prop spec.Property) Result {
 // the (comparatively expensive) specification enumeration can be shared
 // across many TM checks.
 func CheckAgainstDFA(ts *explore.TS, prop spec.Property, dfa *automata.DFA) Result {
-	return checkAgainstDFA(ts, prop, dfa, true)
-}
-
-// checkAgainstDFA is CheckAgainstDFA with the phase span optional: the
-// obs phase stack assumes one single-threaded spine, so concurrent
-// table rows must not open spans.
-func checkAgainstDFA(ts *explore.TS, prop spec.Property, dfa *automata.DFA, phase bool) Result {
-	res, err := checkAgainstDFAGuarded(ts, prop, dfa, nil, phase)
+	res, err := include(ts, prop, dfa, nil, true)
 	if err != nil {
 		// Unreachable: a nil guard never trips.
 		panic(err)
@@ -106,20 +99,58 @@ func checkAgainstDFA(ts *explore.TS, prop spec.Property, dfa *automata.DFA, phas
 	return res
 }
 
-// checkAgainstDFAGuarded is checkAgainstDFA consulting a resource
-// guard during the inclusion search, for the keep-going drivers: a
-// deadline or cancellation interrupts the product walk itself.
-func checkAgainstDFAGuarded(ts *explore.TS, prop spec.Property, dfa *automata.DFA, g *guard.Guard, phase bool) (Result, error) {
+// stageBudget returns the state budget left to a stage of the
+// materialized pipeline once the earlier stages constructed already
+// states: 0 (unlimited) when g carries no budget, and a budget error
+// when nothing is left.
+func stageBudget(g *guard.Guard, already int) (int, error) {
+	maxStates := g.MaxStates()
+	if maxStates <= 0 {
+		return 0, nil
+	}
+	if rest := maxStates - already; rest >= 1 {
+		return rest, nil
+	}
+	return 0, &space.BudgetError{Budget: maxStates, Visited: already + 1}
+}
+
+// enumerateSpec is the specification stage of the materialized
+// pipeline: the deterministic automaton for prop at (n, k), enumerated
+// under g with the state budget the TM stage's tmStates left over.
+func enumerateSpec(prop spec.Property, n, k, workers int, g *guard.Guard, tmStates int) (*automata.DFA, time.Duration, error) {
+	rest, err := stageBudget(g, tmStates)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	dfa, err := spec.NewDet(prop, n, k).EnumerateGuarded(workers, g.WithStates(rest))
+	if err != nil {
+		return nil, 0, chargeStates(err, g.MaxStates(), tmStates)
+	}
+	return dfa, time.Since(start), nil
+}
+
+// include is the inclusion stage of the materialized pipeline: the
+// product walk of L(ts) ⊆ L(dfa) under g, whose state budget is charged
+// with the TM and spec states the earlier stages constructed. phase
+// opens the obs span, which callers off the single-threaded spine
+// suppress.
+func include(ts *explore.TS, prop spec.Property, dfa *automata.DFA, g *guard.Guard, phase bool) (Result, error) {
+	already := ts.NumStates() + dfa.NumStates()
+	rest, err := stageBudget(g, already)
+	if err != nil {
+		return Result{}, err
+	}
 	if phase {
 		done := obs.Phase("inclusion:" + ts.Name() + ":" + prop.Key())
 		defer done()
 	}
 	nfa := ts.DenseNFA()
 	start := time.Now()
-	ok, cexLetters, st, err := automata.IncludedInDFADenseGuarded(nfa, dfa, g)
+	ok, cexLetters, st, err := automata.IncludedInDFADenseGuarded(nfa, dfa, g.WithStates(rest))
 	elapsed := time.Since(start)
 	if err != nil {
-		return Result{}, err
+		return Result{}, chargeStates(err, g.MaxStates(), already)
 	}
 	res := Result{
 		System:     ts.Name(),
@@ -131,6 +162,7 @@ func checkAgainstDFAGuarded(ts *explore.TS, prop spec.Property, dfa *automata.DF
 		Holds:      ok,
 		Elapsed:    elapsed,
 		Inclusion:  st,
+		Engine:     EngineMaterialized,
 		Resumed:    ts.Resumed,
 	}
 	if !ok {
@@ -211,128 +243,6 @@ func Verify(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property) Resul
 type Table2Row struct {
 	SS Result
 	OP Result
-}
-
-// Table2 reproduces the paper's Table 2 on the given systems: for each,
-// the transition-system size and the verdicts for strict serializability
-// and opacity with counterexamples. The deterministic specifications for
-// the (n, k) instances involved are built once and shared.
-//
-// With the process-wide worker count above one, the rows run
-// concurrently over a bounded pool (each row's exploration and checks
-// stay sequential inside the row — the row fan-out is the coarser and
-// cheaper parallelism); results are identical to the sequential driver.
-func Table2(systems []System) []Table2Row {
-	if workers := parbfs.Workers(); workers > 1 && len(systems) > 1 {
-		return table2Par(systems, workers)
-	}
-	return table2Seq(systems)
-}
-
-func table2Seq(systems []System) []Table2Row {
-	type key struct {
-		prop spec.Property
-		n, k int
-	}
-	dfas := map[key]*automata.DFA{}
-	// dfaFor builds (or reuses) the deterministic specification and
-	// reports the enumeration time — zero on a cache hit, so the cost
-	// is charged exactly once across the table.
-	dfaFor := func(prop spec.Property, n, k int) (*automata.DFA, time.Duration) {
-		k2 := key{prop, n, k}
-		if d, ok := dfas[k2]; ok {
-			return d, 0
-		}
-		done := obs.Phase("build-spec:" + prop.Key())
-		start := time.Now()
-		d := spec.NewDet(prop, n, k).Enumerate()
-		elapsed := time.Since(start)
-		done()
-		dfas[k2] = d
-		return d, elapsed
-	}
-	var rows []Table2Row
-	for _, sys := range systems {
-		name := sys.Alg.Name()
-		if sys.CM != nil {
-			name += "+" + sys.CM.Name()
-		}
-		doneSys := obs.Phase("safety:" + name)
-		doneBuild := obs.Phase("build-tm")
-		buildStart := time.Now()
-		ts := explore.Build(sys.Alg, sys.CM)
-		buildElapsed := time.Since(buildStart)
-		doneBuild()
-		n, k := sys.Alg.Threads(), sys.Alg.Vars()
-		ssDFA, ssSpecElapsed := dfaFor(spec.StrictSerializability, n, k)
-		opDFA, opSpecElapsed := dfaFor(spec.Opacity, n, k)
-		row := Table2Row{
-			SS: CheckAgainstDFA(ts, spec.StrictSerializability, ssDFA),
-			OP: CheckAgainstDFA(ts, spec.Opacity, opDFA),
-		}
-		row.SS.BuildTMElapsed = buildElapsed
-		row.SS.BuildSpecElapsed = ssSpecElapsed
-		row.OP.BuildSpecElapsed = opSpecElapsed
-		rows = append(rows, row)
-		doneSys()
-	}
-	return rows
-}
-
-// table2Par is the concurrent Table 2 driver: the distinct deterministic
-// specifications are enumerated once up front (their cost charged to the
-// first row that uses them, like the sequential driver), then the rows
-// fan out over the worker pool. Per-row obs phases are skipped — the
-// phase stack assumes a single-threaded spine — but all counters and
-// the returned rows are identical to table2Seq.
-func table2Par(systems []System, workers int) []Table2Row {
-	type key struct {
-		prop spec.Property
-		n, k int
-	}
-	type builtDFA struct {
-		dfa      *automata.DFA
-		elapsed  time.Duration
-		firstRow int
-	}
-	done := obs.Phase("safety:table2-parallel")
-	defer done()
-	dfas := map[key]*builtDFA{}
-	for i, sys := range systems {
-		n, k := sys.Alg.Threads(), sys.Alg.Vars()
-		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			k2 := key{prop, n, k}
-			if _, ok := dfas[k2]; ok {
-				continue
-			}
-			start := time.Now()
-			d := spec.NewDet(prop, n, k).EnumerateWorkers(workers)
-			dfas[k2] = &builtDFA{dfa: d, elapsed: time.Since(start), firstRow: i}
-		}
-	}
-	rows := make([]Table2Row, len(systems))
-	parbfs.For(len(systems), workers, func(i int) {
-		sys := systems[i]
-		n, k := sys.Alg.Threads(), sys.Alg.Vars()
-		buildStart := time.Now()
-		ts := explore.BuildWorkers(sys.Alg, sys.CM, 1)
-		buildElapsed := time.Since(buildStart)
-		ss := dfas[key{spec.StrictSerializability, n, k}]
-		op := dfas[key{spec.Opacity, n, k}]
-		row := Table2Row{
-			SS: checkAgainstDFA(ts, spec.StrictSerializability, ss.dfa, false),
-			OP: checkAgainstDFA(ts, spec.Opacity, op.dfa, false),
-		}
-		row.SS.BuildTMElapsed = buildElapsed
-		if ss.firstRow == i {
-			row.SS.BuildSpecElapsed = ss.elapsed
-		}
-		if op.firstRow == i {
-			row.OP.BuildSpecElapsed = op.elapsed
-		}
-		rows[i] = row
-	})
-	return rows
 }
 
 // System is a TM algorithm with an optional contention manager.

@@ -15,7 +15,7 @@ import (
 // reduction theorem, opacity), while modified TL2 with the polite manager
 // is not even strictly serializable.
 func TestTheorem4Table2(t *testing.T) {
-	rows := Table2(PaperSystems(2, 2))
+	rows := Table2(PaperSystems(2, 2), Options{})
 	wantHolds := []bool{true, true, true, true, false}
 	names := []string{"seq", "2pl", "dstm", "tl2", "modtl2+polite"}
 	for i, row := range rows {

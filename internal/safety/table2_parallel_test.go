@@ -7,13 +7,13 @@ import (
 	"tmcheck/internal/parbfs"
 )
 
-// TestTable2ParallelMatchesSequential drives the concurrent Table 2
-// path explicitly and checks the rows — verdicts, sizes, and
-// counterexamples — against the sequential driver.
+// TestTable2ParallelMatchesSequential runs the materialized table with
+// parallel builds and spec enumerations and checks the rows — verdicts,
+// sizes, and counterexamples — against a one-worker run.
 func TestTable2ParallelMatchesSequential(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	seq := table2Seq(systems)
-	par := table2Par(systems, 4)
+	seq := Table2(systems, Options{Workers: 1})
+	par := Table2(systems, Options{Workers: 4})
 	if len(par) != len(seq) {
 		t.Fatalf("row count: parallel %d, sequential %d", len(par), len(seq))
 	}
@@ -39,19 +39,21 @@ func TestTable2ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTable2DispatchesOnWorkerCount checks the public entry point takes
-// the parallel path under a multi-worker setting and still returns the
-// sequential rows.
+// TestTable2DispatchesOnWorkerCount checks that an unset
+// Options.Workers takes the process-wide worker count, in both engines,
+// and that a multi-worker setting still returns the one-worker rows.
 func TestTable2DispatchesOnWorkerCount(t *testing.T) {
 	defer parbfs.SetWorkers(0)
 	systems := PaperSystems(2, 1)
-	parbfs.SetWorkers(1)
-	seq := Table2(systems)
-	parbfs.SetWorkers(3)
-	par := Table2(systems)
-	for i := range seq {
-		if par[i].SS.Holds != seq[i].SS.Holds || par[i].OP.Holds != seq[i].OP.Holds {
-			t.Fatalf("row %d: verdicts diverge between worker counts", i)
+	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
+		parbfs.SetWorkers(1)
+		seq := Table2(systems, Options{Engine: engine})
+		parbfs.SetWorkers(3)
+		par := Table2(systems, Options{Engine: engine})
+		for i := range seq {
+			if par[i].SS.Holds != seq[i].SS.Holds || par[i].OP.Holds != seq[i].OP.Holds {
+				t.Fatalf("engine %v row %d: verdicts diverge between worker counts", engine, i)
+			}
 		}
 	}
 }

@@ -13,14 +13,12 @@
 // constructing the parts of either system the product does not reach.
 //
 // The package also owns the state-budget vocabulary: a typed
-// BudgetError for searches that would exceed a state cap (so callers
-// degrade gracefully instead of OOMing), and the process-wide MaxStates
-// knob surfaced as the -maxstates flag of cmd/tmcheck.
+// BudgetError for searches that would exceed a state cap, so callers
+// degrade gracefully instead of OOMing.
 package space
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
@@ -211,20 +209,3 @@ var ErrBudgetExceeded = guard.ErrStates
 // exceeded", while the guard layer adds the wall-clock, memory,
 // cancellation and panic kinds under the same type.
 type BudgetError = guard.LimitError
-
-// maxStates is the process-wide state budget; 0 means unlimited.
-var maxStates atomic.Int64
-
-// MaxStates returns the process-wide state budget installed by
-// SetMaxStates (the -maxstates flag of cmd/tmcheck), or 0 for
-// unlimited.
-func MaxStates() int { return int(maxStates.Load()) }
-
-// SetMaxStates installs the process-wide state budget. n <= 0 resets to
-// unlimited.
-func SetMaxStates(n int) {
-	if n < 0 {
-		n = 0
-	}
-	maxStates.Store(int64(n))
-}

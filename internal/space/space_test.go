@@ -135,18 +135,3 @@ func TestSyncInternerConcurrent(t *testing.T) {
 		t.Errorf("len = %d, want 100", in.Len())
 	}
 }
-
-func TestMaxStatesKnob(t *testing.T) {
-	defer SetMaxStates(0)
-	if MaxStates() != 0 {
-		t.Fatalf("default MaxStates = %d", MaxStates())
-	}
-	SetMaxStates(1234)
-	if MaxStates() != 1234 {
-		t.Errorf("MaxStates = %d", MaxStates())
-	}
-	SetMaxStates(-7)
-	if MaxStates() != 0 {
-		t.Errorf("negative reset: MaxStates = %d", MaxStates())
-	}
-}
