@@ -316,7 +316,8 @@ commands:
   all        run table1, table2, table3, specs and figures
 
 global flags (any command, before or after it):
-  -workers N        parallel-engine workers (default GOMAXPROCS; 1 = sequential)
+  -workers N        parallel-engine workers (default GOMAXPROCS; 1 = sequential;
+                    on-the-fly safety is sequential, table2 spreads rows)
   -maxstates N      abort any check constructing more than N states
   -timeout D        cancel outstanding checks after D (e.g. 30s, 5m)
   -maxmem BYTES     stop checks when the Go heap exceeds BYTES (e.g. 512m, 2g)

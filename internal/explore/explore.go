@@ -272,7 +272,7 @@ func scanPersistControlled(alg tm.Algorithm, cm tm.ContentionManager, workers in
 // hand-rolled it. The guard is exact (checked per state, before the
 // barrier at the same boundary).
 func scanSeq(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, error) {
-	sp := newSpace(alg, cm, false)
+	sp := newBoxedSpace(alg, cm)
 	var out [][]Edge
 	// The yield closure is hoisted out of the scan loop (capturing qi) so
 	// the hot path allocates none per state.
@@ -282,7 +282,7 @@ func scanSeq(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier 
 	// With the telemetry bus on, every level boundary additionally
 	// publishes an EvLevelDone; disabled, the boundary bookkeeping is
 	// only kept when a barrier hook needs it, exactly as before.
-	emit := newLevelEmitter(systemLabel(alg, cm))
+	emit := NewLevelEmitter(systemLabel(alg, cm))
 	levelEnd := 1
 	for qi = 0; int(qi) < sp.NumStates(); qi++ {
 		if guarded {
@@ -323,13 +323,13 @@ func systemLabel(alg tm.Algorithm, cm tm.ContentionManager) string {
 	return alg.Name() + "+" + cm.Name()
 }
 
-// newLevelEmitter returns the per-barrier telemetry publisher for one
+// NewLevelEmitter returns the per-barrier telemetry publisher for one
 // scan — nil when the bus is disabled, so callers pay a single branch.
 // The returned function is called with (interned, expanded) at each
 // level boundary and publishes an EvLevelDone carrying the cumulative
 // states, the unexpanded frontier, the sampled heap, and the time since
 // the previous boundary.
-func newLevelEmitter(name string) func(interned, expanded int) {
+func NewLevelEmitter(name string) func(interned, expanded int) {
 	if !obs.EventsEnabled() {
 		return nil
 	}
@@ -361,11 +361,11 @@ func scanPar(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Gu
 	// The Space supplies only the successor enumeration here — parbfs
 	// owns the interning, so the Space's own table stays at the initial
 	// state.
-	sp := newSpace(alg, cm, false)
+	sp := newBoxedSpace(alg, cm)
 	var out [][]Edge
 	var states []prodState
 	var control func(n int) error
-	emit := newLevelEmitter(systemLabel(alg, cm))
+	emit := NewLevelEmitter(systemLabel(alg, cm))
 	if g.Active() || barrier != nil || emit != nil {
 		// prevInterned is the interned count at the previous barrier —
 		// exactly the states already expanded when this one fires.

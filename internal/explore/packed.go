@@ -401,7 +401,7 @@ func scanSeqPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g 
 		scratch = append(scratch, e)
 	}
 	guarded := g.Active()
-	emit := newLevelEmitter(systemLabel(alg, cm))
+	emit := NewLevelEmitter(systemLabel(alg, cm))
 	track := barrier != nil || emit != nil || flush != nil
 	var cur [pack.MaxWords]uint64
 	for qi := startQi; int(qi) < in.Len(); qi++ {
@@ -523,7 +523,7 @@ func scanParPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, wo
 
 	flush := newSinkFlusher(p)
 	var control func(n int) error
-	emit := newLevelEmitter(systemLabel(alg, cm))
+	emit := NewLevelEmitter(systemLabel(alg, cm))
 	if g.Active() || barrier != nil || emit != nil || flush != nil {
 		// prevInterned is the interned count at the previous barrier —
 		// exactly the states already expanded when this one fires.

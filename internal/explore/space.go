@@ -2,6 +2,7 @@ package explore
 
 import (
 	"tmcheck/internal/core"
+	"tmcheck/internal/pack"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
@@ -13,41 +14,55 @@ import (
 // scan to the fixpoint) and the on-the-fly safety engine is another
 // that never expands states the product search does not reach.
 //
-// Both the materialized builders and the lazy consumers funnel through
-// the same forEachEnabled/forEachStep enumerators, so per-state edge
-// order — and hence every canonical numbering and every counterexample
-// downstream — is bit-identical across engines by construction.
+// Products that pack (packedFor) intern bit-packed keys in a pack.Map
+// and expand through the packed core, exactly as the materialized
+// packed scan does; the rest intern boxed product states. Both paths
+// share the enumeration order of forEachEnabled/forEachStep, so
+// per-state edge order — and hence every canonical numbering and every
+// counterexample downstream — is bit-identical across engines by
+// construction.
 type Space struct {
 	Alg      tm.Algorithm
 	CM       tm.ContentionManager // nil when the TM runs without a manager
 	Alphabet core.Alphabet
 
 	commands []core.Command
-	in       *space.Interner[prodState]
+
+	// Packed path: keys interns the product keys; cur holds the key
+	// being expanded, yield the caller's edge callback.
+	pc     packedIface
+	keys   *pack.Map
+	cur    [pack.MaxWords]uint64
+	yield  func(Edge)
+	intern func(next []uint64, e Edge)
+
+	in *space.Interner[prodState] // boxed path
 }
 
 // NewSpace returns the lazy unfolding of the TM algorithm (with an
 // optional contention manager) applied to the most general program, for
 // single-goroutine consumers.
 func NewSpace(alg tm.Algorithm, cm tm.ContentionManager) *Space {
-	return newSpace(alg, cm, false)
-}
-
-// NewSpaceSync is NewSpace with a concurrency-safe intern table, for
-// consumers that expand states from several goroutines (the parallel
-// on-the-fly product search).
-func NewSpaceSync(alg tm.Algorithm, cm tm.ContentionManager) *Space {
-	return newSpace(alg, cm, true)
-}
-
-func newSpace(alg tm.Algorithm, cm tm.ContentionManager, shared bool) *Space {
-	ab := core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}
-	sp := &Space{Alg: alg, CM: cm, Alphabet: ab, commands: ab.Commands()}
-	if shared {
-		sp.in = space.NewSyncInterner[prodState]()
-	} else {
-		sp.in = space.NewInterner[prodState]()
+	pc := packedFor(alg, cm)
+	if pc == nil {
+		return newBoxedSpace(alg, cm)
 	}
+	kw := pc.keyWords()
+	sp := &Space{Alg: alg, CM: cm, Alphabet: core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()},
+		pc: pc, keys: pack.NewMap(kw, 0)}
+	pc.writeInit(sp.cur[:kw])
+	sp.keys.Intern(sp.cur[:kw])
+	sp.intern = func(next []uint64, e Edge) {
+		e.To, _ = sp.keys.Intern(next)
+		sp.yield(e)
+	}
+	return sp
+}
+
+// newBoxedSpace is the boxed unfolding, for products that do not pack.
+func newBoxedSpace(alg tm.Algorithm, cm tm.ContentionManager) *Space {
+	ab := core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}
+	sp := &Space{Alg: alg, CM: cm, Alphabet: ab, commands: ab.Commands(), in: space.NewInterner[prodState]()}
 	var cmInit tm.State
 	if cm != nil {
 		cmInit = cm.Initial()
@@ -69,7 +84,12 @@ func (sp *Space) Init() space.State { return 0 }
 
 // NumStates implements space.Space: the number of product states
 // constructed so far (it grows as successors are expanded).
-func (sp *Space) NumStates() int { return sp.in.Len() }
+func (sp *Space) NumStates() int {
+	if sp.pc != nil {
+		return sp.keys.Len()
+	}
+	return sp.in.Len()
+}
 
 // Succ implements space.Space: the emitted letter is the alphabet code
 // of the completed statement, or space.Eps for internal ⊥-steps.
@@ -80,13 +100,22 @@ func (sp *Space) Succ(s space.State, emit func(l space.Letter, to space.State)) 
 // SuccEdges enumerates the outgoing edges of the already-interned state
 // s with full TM detail (command, thread, extended command, response),
 // interning each successor. Edge order is the canonical enumeration
-// order shared by every engine.
+// order shared by every engine. yield must not expand sp again: the
+// packed path reuses one expansion scratch.
 func (sp *Space) SuccEdges(s space.State, yield func(Edge)) {
-	q := sp.in.At(s)
-	sp.expand(q, func(next prodState, e Edge) {
-		e.To = sp.in.Intern(next)
-		yield(e)
-	})
+	if sp.pc == nil {
+		sp.expand(sp.in.At(s), func(next prodState, e Edge) {
+			e.To = sp.in.Intern(next)
+			yield(e)
+		})
+		return
+	}
+	// KeyAt aliases the table, which interning successors may grow, so
+	// expand from a copy.
+	kw := sp.pc.keyWords()
+	copy(sp.cur[:kw], sp.keys.KeyAt(s))
+	sp.yield = yield
+	sp.pc.expandKey(sp.cur[:kw], sp.intern)
 }
 
 // expand enumerates the successors of product state q without touching

@@ -5,7 +5,9 @@ package job
 // the subcommand):
 //
 //	-workers N        worker count for the parallel engines (default
-//	                  GOMAXPROCS; 1 = exact sequential behavior)
+//	                  GOMAXPROCS; 1 = exact sequential behavior); the
+//	                  on-the-fly safety search is sequential at every
+//	                  count, and table2 spends the workers on rows
 //	-maxstates N      state budget: abort any check that would construct
 //	                  more than N states (TM + spec + product) with a
 //	                  budget error instead of exhausting memory

@@ -1,12 +1,11 @@
 package safety
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tmcheck/internal/automata"
@@ -44,7 +43,10 @@ func ParseEngine(s string) (Engine, error) { return space.ParseEngine(s) }
 // Options configures VerifyOpts and Table2.
 type Options struct {
 	// Workers is the worker count; <= 0 takes the process-wide
-	// parbfs.Workers(). One worker runs the plain sequential engines.
+	// parbfs.Workers(). The materialized engine spends it inside the
+	// TM build and spec enumeration (one worker runs them
+	// sequentially). The on-the-fly search is sequential at every
+	// count; Table2 spends the workers on rows instead.
 	Workers int
 	// MaxStates bounds the total states constructed (see VerifyOpts);
 	// <= 0 means unbounded.
@@ -88,8 +90,9 @@ func (opts Options) workers() int {
 // on-the-fly engine; TM states, then the full spec DFA, then inclusion
 // pairs cumulatively for the materialized one — and the check stops
 // with a *space.BudgetError instead of exhausting memory. The
-// sequential engines trip the budget exactly; parallel ones check at
-// BFS level barriers and may overshoot by one level.
+// on-the-fly search and the sequential materialized stages trip the
+// budget exactly; parallel materialized stages check at BFS level
+// barriers and may overshoot by one level.
 //
 // Both engines return identical verdicts and identical counterexample
 // words (the on-the-fly search orders each state's edges ε-first then
@@ -102,7 +105,7 @@ func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, o
 		if opts.Persist != nil {
 			return Result{}, errors.New("safety: checkpoint/resume requires the materialized engine (the on-the-fly product does not intern a resumable prefix)")
 		}
-		return checkOnTheFly(alg, cm, prop, workers, g, !opts.NoPhases)
+		return checkOnTheFly(alg, cm, prop, g, !opts.NoPhases)
 	}
 	return verifyMaterialized(alg, cm, prop, workers, g, !opts.NoPhases, opts.Persist)
 }
@@ -173,33 +176,19 @@ func chargeStates(err error, maxStates, already int) error {
 	return err
 }
 
-// pairState is a state of the synchronized product: an interned TM
-// state and an interned spec state.
-type pairState struct {
-	tm, spec space.State
-}
-
-// errViolationFound stops the parallel product search at the level
-// barrier once a violation has been recorded.
-var errViolationFound = errors.New("safety: violation found")
-
-// checkOnTheFly runs the on-the-fly product search: a BFS over
-// pairState that expands the TM space and steps the lazy specification
-// in lockstep, stopping at the first undefined spec transition (the
-// inclusion counterexample) or the fixpoint. phase=false suppresses the
-// obs span for callers off the single-threaded spine.
-func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, workers int, g *guard.Guard, phase bool) (Result, error) {
+// checkOnTheFly runs the on-the-fly product search, stopping at the
+// first undefined spec transition (the inclusion counterexample) or the
+// fixpoint. phase=false suppresses the obs span for callers off the
+// single-threaded spine.
+func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, g *guard.Guard, phase bool) (Result, error) {
 	det := spec.NewDet(prop, alg.Threads(), alg.Vars())
-	fin := checkEvents("otf:" + systemName(alg, cm) + ":" + prop.Key())
+	name := "otf:" + systemName(alg, cm) + ":" + prop.Key()
+	fin := checkEvents(name)
 	var res Result
 	start := time.Now()
 	err := guard.Capture(func() error {
 		var ierr error
-		if workers <= 1 {
-			res, ierr = otfSeq(alg, cm, det, prop, g, phase)
-		} else {
-			res, ierr = otfPar(alg, cm, det, prop, workers, g, phase)
-		}
+		res, ierr = otfSearch(name, alg, cm, det, g, phase)
 		return ierr
 	})
 	if err != nil {
@@ -214,53 +203,123 @@ func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 	return res, nil
 }
 
-// sortEdgesByEmit stable-sorts a state's edges ε-first, then by letter.
-// This is exactly the successor order of the materialized inclusion
-// check (which walks ε-successors first and then the letters in
-// ascending order, each in edge-insertion order), so the product BFS —
-// and hence the counterexample word — is bit-identical across engines.
-func sortEdgesByEmit(buf []explore.Edge) {
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].Emit < buf[j].Emit })
+// otfEdge is the part of a TM edge the product search reads.
+type otfEdge struct {
+	to   space.State
+	emit space.Letter
 }
 
-// expandSorted collects the sorted edges of one TM state into a fresh
-// slice.
-func expandSorted(tmsp *explore.Space, s space.State) []explore.Edge {
-	buf := make([]explore.Edge, 0, 8)
-	tmsp.SuccEdges(s, func(e explore.Edge) { buf = append(buf, e) })
-	sortEdgesByEmit(buf)
-	return buf
+// edgeCache memoizes the edges of each TM state, stable-sorted
+// ε-first, then by letter. This is exactly the successor order of the
+// materialized inclusion check (which walks ε-successors first and then
+// the letters in ascending order, each in edge-insertion order), so the
+// product BFS — and hence the counterexample word — is bit-identical
+// across engines. Distinct product pairs sharing a TM state re-use its
+// expansion; rows live in chunks of a shared arena, so caching a state
+// allocates nothing per state.
+type edgeCache struct {
+	sp      *explore.Space
+	rows    [][]otfEdge
+	chunk   []otfEdge
+	scratch []otfEdge
+	collect func(explore.Edge)
 }
 
-// otfProgressEvery is the heartbeat granularity of the sequential
-// on-the-fly search on the telemetry bus: one EvProgress per this many
-// expanded product pairs.
+func newEdgeCache(sp *explore.Space) *edgeCache {
+	c := &edgeCache{sp: sp, chunk: make([]otfEdge, 0, 64)}
+	c.collect = func(e explore.Edge) { c.scratch = append(c.scratch, otfEdge{e.To, e.Emit}) }
+	return c
+}
+
+// of returns the sorted edges of TM state s.
+func (c *edgeCache) of(s space.State) []otfEdge {
+	if int(s) < len(c.rows) && c.rows[s] != nil {
+		return c.rows[s]
+	}
+	c.scratch = c.scratch[:0]
+	c.sp.SuccEdges(s, c.collect)
+	slices.SortStableFunc(c.scratch, func(a, b otfEdge) int { return cmp.Compare(a.emit, b.emit) })
+	if len(c.chunk)+len(c.scratch) > cap(c.chunk) {
+		c.chunk = make([]otfEdge, 0, max(len(c.scratch), min(2*cap(c.chunk), 8192)))
+	}
+	start := len(c.chunk)
+	c.chunk = append(c.chunk, c.scratch...)
+	for len(c.rows) < c.sp.NumStates() {
+		c.rows = append(c.rows, nil)
+	}
+	c.rows[s] = c.chunk[start:len(c.chunk):len(c.chunk)]
+	return c.rows[s]
+}
+
+// pairSet is an open-addressing set of product pairs packed into one
+// word, tm<<32 | spec. A slot holds the pair + 1 inline (0 is empty),
+// so a probe touches one slot array and nothing else; the table starts
+// small and doubles at 3/4 load.
+type pairSet struct {
+	slots []uint64
+	n     int
+	shift uint // 64 - log2(len(slots)): Fibonacci hashing keeps the top bits
+}
+
+func newPairSet() *pairSet { return &pairSet{slots: make([]uint64, 64), shift: 64 - 6} }
+
+// add inserts p, reporting whether it was absent.
+func (s *pairSet) add(p uint64) bool {
+	if 4*(s.n+1) > 3*len(s.slots) {
+		old := s.slots
+		s.slots, s.n, s.shift = make([]uint64, 2*len(old)), 0, s.shift-1
+		for _, k := range old {
+			if k != 0 {
+				s.add(k - 1)
+			}
+		}
+	}
+	k, mask := p+1, uint64(len(s.slots)-1)
+	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		case k:
+			return false
+		}
+	}
+}
+
+// otfProgressEvery is the heartbeat granularity of the on-the-fly
+// search on the telemetry bus: one EvProgress per this many expanded
+// product pairs.
 const otfProgressEvery = 4096
 
-// otfSeq is the sequential on-the-fly search.
-func otfSeq(alg tm.Algorithm, cm tm.ContentionManager, det *spec.Det, prop spec.Property, g *guard.Guard, phase bool) (Result, error) {
-	name := "otf:" + systemName(alg, cm) + ":" + prop.Key()
+// otfSearch is the product BFS over pairs (TM state, spec state): it
+// expands the TM space and steps the lazy specification in lockstep.
+// It is sequential at every worker count, so budget trips, early-exit
+// sizes and the counterexample never depend on scheduling.
+func otfSearch(name string, alg tm.Algorithm, cm tm.ContentionManager, det *spec.Det, g *guard.Guard, phase bool) (Result, error) {
 	if phase {
 		done := obs.Phase(name)
 		defer done()
 	}
 	events := obs.EventsEnabled()
+	emitLevel := explore.NewLevelEmitter(name)
 	tmsp := explore.NewSpace(alg, cm)
 	lz := spec.NewLazy(det)
+	edges := newEdgeCache(tmsp)
 
 	type node struct {
-		p      pairState
+		p      uint64 // tm<<32 | spec
 		parent int32
 		letter int16 // letter that discovered this pair; -1 for root and ε
 	}
-	nodes := []node{{p: pairState{}, parent: -1, letter: -1}}
-	index := map[pairState]int32{{}: 0}
-	push := func(p pairState, parent int32, letter int16) {
-		if _, ok := index[p]; ok {
-			return
+	nodes := []node{{parent: -1, letter: -1}}
+	seen := newPairSet()
+	seen.add(0)
+	push := func(tmS, specS space.State, parent int32, letter int16) {
+		p := uint64(tmS)<<32 | uint64(specS)
+		if seen.add(p) {
+			nodes = append(nodes, node{p: p, parent: parent, letter: letter})
 		}
-		index[p] = int32(len(nodes))
-		nodes = append(nodes, node{p: p, parent: parent, letter: letter})
 	}
 	buildWord := func(idx int32, last int16) []int {
 		rev := []int{int(last)}
@@ -270,31 +329,15 @@ func otfSeq(alg tm.Algorithm, cm tm.ContentionManager, det *spec.Det, prop spec.
 			}
 			idx = nodes[idx].parent
 		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
+		slices.Reverse(rev)
 		return rev
-	}
-
-	// Sorted edges are cached per TM state: distinct product pairs
-	// sharing a TM state re-use its expansion instead of re-running the
-	// TM semantics.
-	var edgeCache [][]explore.Edge
-	edgesOf := func(s space.State) []explore.Edge {
-		for int(s) >= len(edgeCache) {
-			edgeCache = append(edgeCache, nil)
-		}
-		if edgeCache[s] == nil {
-			edgeCache[s] = expandSorted(tmsp, s)
-		}
-		return edgeCache[s]
 	}
 
 	frontierPeak := 1
 	result := func(holds bool, cexLetters []int) Result {
 		res := Result{
 			System:       tmsp.Name(),
-			Prop:         prop,
+			Prop:         det.Prop,
 			Threads:      alg.Threads(),
 			Vars:         alg.Vars(),
 			TMStates:     tmsp.NumStates(),
@@ -311,11 +354,16 @@ func otfSeq(alg tm.Algorithm, cm tm.ContentionManager, det *spec.Det, prop spec.
 	}
 
 	guarded := g.Active()
+	levelEnd := 1
 	for qi := int32(0); int(qi) < len(nodes); qi++ {
 		if guarded {
 			if err := g.Check(len(nodes) + tmsp.NumStates() + lz.NumStates()); err != nil {
 				return Result{}, err
 			}
+		}
+		if emitLevel != nil && int(qi) == levelEnd {
+			emitLevel(len(nodes), levelEnd)
+			levelEnd = len(nodes)
 		}
 		if f := len(nodes) - int(qi); f > frontierPeak {
 			frontierPeak = f
@@ -328,166 +376,26 @@ func otfSeq(alg tm.Algorithm, cm tm.ContentionManager, det *spec.Det, prop spec.
 			})
 		}
 		p := nodes[qi].p
-		for _, e := range edgesOf(p.tm) {
-			if e.Emit < 0 {
-				push(pairState{e.To, p.spec}, qi, -1)
+		specS := space.State(uint32(p))
+		for _, e := range edges.of(space.State(p >> 32)) {
+			if e.emit < 0 {
+				push(e.to, specS, qi, -1)
 				continue
 			}
-			d2 := lz.Step(p.spec, int(e.Emit))
+			d2 := lz.Step(specS, int(e.emit))
 			if d2 == space.None {
-				return result(false, buildWord(qi, e.Emit)), nil
+				if emitLevel != nil {
+					emitLevel(len(nodes), int(qi))
+				}
+				return result(false, buildWord(qi, e.emit)), nil
 			}
-			push(pairState{e.To, d2}, qi, e.Emit)
+			push(e.to, d2, qi, e.emit)
 		}
+	}
+	if emitLevel != nil {
+		emitLevel(len(nodes), len(nodes))
 	}
 	return result(true, nil), nil
-}
-
-// otfPar is the level-parallel on-the-fly search over product pairs.
-// Violations can only occur in the level currently being expanded (the
-// barrier hook stops the search at the first level that records one),
-// and the canonical winner — minimal (source id, edge index) — is
-// exactly the violation the sequential scan hits first, so verdict and
-// counterexample word match otfSeq for every worker count. The states
-// constructed at the stopping point may differ (trailing same-level
-// expansions), so the budget and the reported sizes are
-// worker-count-dependent on early exit; verdicts never are.
-func otfPar(alg tm.Algorithm, cm tm.ContentionManager, det *spec.Det, prop spec.Property, workers int, g *guard.Guard, phase bool) (Result, error) {
-	name := "otf:" + systemName(alg, cm) + ":" + prop.Key()
-	if phase {
-		done := obs.Phase(name)
-		defer done()
-	}
-	// With the telemetry bus on, every level barrier reports one
-	// EvLevelDone — the per-level product-BFS slices of the -trace view.
-	var emitLevel func(states int)
-	if obs.EventsEnabled() {
-		last, level, prev := time.Now(), int32(0), 0
-		emitLevel = func(states int) {
-			now := time.Now()
-			obs.Emit(obs.Event{
-				Kind: obs.EvLevelDone, Name: name, Level: level,
-				States: int64(states), Frontier: int64(states - prev),
-				HeapBytes: obs.SampledHeap(), DurNS: now.Sub(last).Nanoseconds(),
-			})
-			last, prev = now, states
-			level++
-		}
-	}
-	tmsp := explore.NewSpaceSync(alg, cm)
-	lz := spec.NewLazySync(det)
-
-	var pairs []pairState
-	// parents[id] is the packed minimal discovery key of pair id —
-	// srcID<<32 | emission ordinal — min-updated atomically across the
-	// racing finish calls; ^0 marks the root/unset.
-	var parents []uint64
-
-	var vioMu sync.Mutex
-	vioFound := false
-	var vioSrc, vioEdge int32
-	var vioLetter int16
-
-	pstats, err := parbfs.RunControlled(pairState{}, workers,
-		func(states int) error {
-			if emitLevel != nil {
-				emitLevel(states)
-			}
-			vioMu.Lock()
-			found := vioFound
-			vioMu.Unlock()
-			if found {
-				return errViolationFound
-			}
-			return g.Check(states + tmsp.NumStates() + lz.NumStates())
-		},
-		func(id int, emit func(pairState)) {
-			p := pairs[id]
-			for j, e := range expandSorted(tmsp, p.tm) {
-				if e.Emit < 0 {
-					emit(pairState{e.To, p.spec})
-					continue
-				}
-				d2 := lz.Step(p.spec, int(e.Emit))
-				if d2 == space.None {
-					vioMu.Lock()
-					if !vioFound || int32(id) < vioSrc || (int32(id) == vioSrc && int32(j) < vioEdge) {
-						vioFound, vioSrc, vioEdge, vioLetter = true, int32(id), int32(j), e.Emit
-					}
-					vioMu.Unlock()
-					continue
-				}
-				emit(pairState{e.To, d2})
-			}
-		},
-		func(id int, p pairState) {
-			pairs = append(pairs, p)
-			parents = append(parents, ^uint64(0))
-		},
-		func(id int, succ []int32) {
-			for j, to := range succ {
-				key := uint64(id)<<32 | uint64(j)
-				for {
-					old := atomic.LoadUint64(&parents[to])
-					if key >= old || atomic.CompareAndSwapUint64(&parents[to], old, key) {
-						break
-					}
-				}
-			}
-		},
-	)
-
-	frontierPeak := 1
-	for _, n := range pstats.LevelSizes {
-		if n > frontierPeak {
-			frontierPeak = n
-		}
-	}
-	result := func(holds bool, cexLetters []int) Result {
-		res := Result{
-			System:       tmsp.Name(),
-			Prop:         prop,
-			Threads:      alg.Threads(),
-			Vars:         alg.Vars(),
-			TMStates:     tmsp.NumStates(),
-			SpecStates:   lz.NumStates(),
-			Holds:        holds,
-			Engine:       EngineOnTheFly,
-			FrontierPeak: frontierPeak,
-			Inclusion:    automata.InclusionStats{PairsVisited: len(pairs), CexLen: len(cexLetters)},
-		}
-		if !holds {
-			res.Counterexample = tmsp.Alphabet.DecodeWord(cexLetters)
-		}
-		return res
-	}
-
-	switch {
-	case err == nil:
-		return result(true, nil), nil
-	case errors.Is(err, errViolationFound):
-		// Reconstruct the word along the parent tree. Every ancestor sits
-		// in an earlier level than the violation, and earlier levels have
-		// no violating edges (the search would have stopped there), so an
-		// ancestor's emission ordinal equals its sorted-edge index and
-		// re-expanding it recovers the discovering letter.
-		rev := []int{int(vioLetter)}
-		for cur := vioSrc; cur != 0; {
-			pk := parents[cur]
-			src := int32(pk >> 32)
-			j := int(uint32(pk))
-			if l := expandSorted(tmsp, pairs[src].tm)[j].Emit; l >= 0 {
-				rev = append(rev, int(l))
-			}
-			cur = src
-		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		return result(false, rev), nil
-	default:
-		return Result{}, err
-	}
 }
 
 // systemName names the system without constructing anything.

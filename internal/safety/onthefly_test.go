@@ -343,3 +343,148 @@ func TestTable2OnTheFly(t *testing.T) {
 		}
 	}
 }
+
+// unpacked hides the typed tm.Packed methods of the algorithm it
+// embeds, so the product takes the boxed interning path.
+type unpacked struct{ tm.Algorithm }
+
+// TestOnTheFlyUnpackedAgrees keeps the boxed fallback of the on-the-fly
+// search honest: with every registry TM (and modtl2+polite) wrapped so
+// it cannot pack, the search must return the packed run's verdict,
+// counterexample and sizes.
+func TestOnTheFlyUnpackedAgrees(t *testing.T) {
+	for _, d := range [][2]int{{2, 1}, {2, 2}} {
+		for _, sys := range eqSystems(t, d[0], d[1]) {
+			for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
+				opts := Options{Workers: 1, Engine: EngineOnTheFly}
+				packed, err := VerifyOpts(sys.Alg, sys.CM, prop, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				boxed, err := VerifyOpts(unpacked{sys.Alg}, sys.CM, prop, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s (%d,%d) %s", packed.System, d[0], d[1], prop.Key())
+				if boxed.Holds != packed.Holds || !reflect.DeepEqual(boxed.Counterexample, packed.Counterexample) ||
+					boxed.TMStates != packed.TMStates || boxed.SpecStates != packed.SpecStates ||
+					boxed.Inclusion.PairsVisited != packed.Inclusion.PairsVisited || boxed.FrontierPeak != packed.FrontierPeak {
+					t.Errorf("%s: boxed %+v\n packed %+v", label, boxed, packed)
+				}
+			}
+		}
+	}
+}
+
+// stripTimes zeroes the wall-clock fields of a result.
+func stripTimes(r Result) Result {
+	r.Elapsed, r.BuildTMElapsed, r.BuildSpecElapsed = 0, 0, 0
+	return r
+}
+
+// TestOnTheFlySizesWorkerInvariant pins that the on-the-fly search does
+// not depend on the worker count: the whole Result, sizes included, is
+// identical at one and four workers, and a state budget that trips
+// mid-search stops at the same count.
+func TestOnTheFlySizesWorkerInvariant(t *testing.T) {
+	for _, sys := range eqSystems(t, 2, 2) {
+		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
+			var res [2]Result
+			for i, workers := range []int{1, 4} {
+				r, err := VerifyOpts(sys.Alg, sys.CM, prop, Options{Workers: workers, Engine: EngineOnTheFly})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[i] = stripTimes(r)
+			}
+			label := res[0].System + " " + prop.Key()
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Errorf("%s: workers 1 %+v\n workers 4 %+v", label, res[0], res[1])
+			}
+			budget := (res[0].Inclusion.PairsVisited + res[0].TMStates + res[0].SpecStates) / 2
+			var visited [2]int
+			for i, workers := range []int{1, 4} {
+				_, err := VerifyOpts(sys.Alg, sys.CM, prop, Options{Workers: workers, MaxStates: budget, Engine: EngineOnTheFly})
+				var le *guard.LimitError
+				if !errors.As(err, &le) || le.Kind != guard.KindStates {
+					t.Fatalf("%s w=%d: budget %d gave %v, want a state limit", label, workers, budget, err)
+				}
+				visited[i] = le.Visited
+			}
+			if visited[0] != visited[1] {
+				t.Errorf("%s: budget %d stopped at %d states with 1 worker, %d with 4", label, budget, visited[0], visited[1])
+			}
+		}
+	}
+}
+
+// TestOnTheFlyAllocs holds the on-the-fly search to at most twice the
+// allocations of the materialized pipeline on tl2 (2,2) ss.
+func TestOnTheFlyAllocs(t *testing.T) {
+	alg := tm.NewTL2(2, 2)
+	allocs := func(engine Engine) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := VerifyOpts(alg, nil, spec.StrictSerializability, Options{Workers: 1, Engine: engine}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	otf, mat := allocs(EngineOnTheFly), allocs(EngineMaterialized)
+	t.Logf("allocs per check: on the fly %.0f, materialized %.0f", otf, mat)
+	if otf > 2*mat {
+		t.Errorf("on the fly allocates %.0f per check, over twice the materialized %.0f", otf, mat)
+	}
+}
+
+// TestOnTheFlyLevelEvents checks that a traced on-the-fly check
+// publishes its BFS levels: consecutive EvLevelDone events whose
+// cumulative pair counts never shrink and end at PairsVisited.
+func TestOnTheFlyLevelEvents(t *testing.T) {
+	bus := obs.Events()
+	bus.Reset()
+	bus.SetEnabled(true)
+	defer func() {
+		bus.SetEnabled(false)
+		bus.Reset()
+	}()
+	sub := bus.Subscribe(1 << 12)
+	res, err := VerifyOpts(tm.NewDSTM(2, 2), nil, spec.Opacity, Options{Workers: 1, Engine: EngineOnTheFly})
+	bus.Unsubscribe(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var levels []obs.Event
+	for e := range sub.C {
+		if e.Kind == obs.EvLevelDone && e.Name == "otf:dstm:op" {
+			levels = append(levels, e)
+		}
+	}
+	if sub.Dropped() > 0 || len(levels) < 2 {
+		t.Fatalf("%d level events (%d dropped)", len(levels), sub.Dropped())
+	}
+	for i, e := range levels {
+		if int(e.Level) != i || (i > 0 && e.States < levels[i-1].States) {
+			t.Fatalf("level event %d out of order: %+v", i, e)
+		}
+	}
+	if last := levels[len(levels)-1]; last.States != int64(res.Inclusion.PairsVisited) {
+		t.Errorf("last level reports %d pairs, the check visited %d", last.States, res.Inclusion.PairsVisited)
+	}
+}
+
+// TestOnTheFlyDSTM23 pins the on-the-fly search on dstm (2,3) opacity,
+// the largest check the CLI smoke runs.
+func TestOnTheFlyDSTM23(t *testing.T) {
+	if testing.Short() {
+		t.Skip("(2,3) instance skipped in -short")
+	}
+	res, err := VerifyOpts(tm.NewDSTM(2, 3), nil, spec.Opacity, Options{Engine: EngineOnTheFly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Holds || res.Inclusion.PairsVisited != 1968256 || res.FrontierPeak != 276783 ||
+		res.TMStates != 42130 || res.SpecStates != 117376 {
+		t.Errorf("dstm (2,3) op: holds=%v pairs=%d frontier=%d tm=%d spec=%d; want SAFE, 1968256, 276783, 42130, 117376",
+			res.Holds, res.Inclusion.PairsVisited, res.FrontierPeak, res.TMStates, res.SpecStates)
+	}
+}

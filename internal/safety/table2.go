@@ -26,9 +26,8 @@ import (
 //
 // The on-the-fly engine fans the rows out over the worker pool, each
 // check running the sequential search, so rows are bit-identical for
-// every worker count — including the early-exit sizes of failing rows,
-// which the level-synchronized parallel search would report
-// differently (see otfPar). The materialized engine runs the rows in
+// every worker count — including the early-exit sizes of failing
+// rows. The materialized engine runs the rows in
 // order, spending the workers inside each build, with one TM build per
 // row and one specification automaton per (prop, n, k).
 func Table2(systems []System, opts Options) []Table2Row {
@@ -54,7 +53,7 @@ func table2OnTheFly(systems []System, opts Options) []Table2Row {
 		sys := systems[i]
 		check := func(prop spec.Property) Result {
 			return resilientCheck(func() (Result, error) {
-				return checkOnTheFly(sys.Alg, sys.CM, prop, 1, opts.guard(), phase)
+				return checkOnTheFly(sys.Alg, sys.CM, prop, opts.guard(), phase)
 			}, sys.Alg, sys.CM, prop, EngineOnTheFly)
 		}
 		rows[i] = Table2Row{SS: check(spec.StrictSerializability), OP: check(spec.Opacity)}

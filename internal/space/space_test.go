@@ -2,7 +2,6 @@ package space
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -14,13 +13,8 @@ type gridSpace struct {
 	in   *Interner[[2]int]
 }
 
-func newGrid(w, h int, shared bool) *gridSpace {
-	g := &gridSpace{w: w, h: h}
-	if shared {
-		g.in = NewSyncInterner[[2]int]()
-	} else {
-		g.in = NewInterner[[2]int]()
-	}
+func newGrid(w, h int) *gridSpace {
+	g := &gridSpace{w: w, h: h, in: NewInterner[[2]int]()}
 	g.in.Intern([2]int{0, 0})
 	return g
 }
@@ -38,7 +32,7 @@ func (g *gridSpace) Succ(s State, emit func(Letter, State)) {
 }
 
 func TestScanReachesFixpoint(t *testing.T) {
-	g := newGrid(4, 3, false)
+	g := newGrid(4, 3)
 	edges := 0
 	n, err := Scan(g, 0, func(from State, l Letter, to State) { edges++ })
 	if err != nil {
@@ -57,10 +51,10 @@ func TestScanReachesFixpoint(t *testing.T) {
 func TestScanCanonicalNumbering(t *testing.T) {
 	// Scan order from (0,0): BFS-as-scan interning means ids follow
 	// first-sight order along the scan, identical on every run.
-	g1 := newGrid(3, 3, false)
+	g1 := newGrid(3, 3)
 	var order1 []State
 	Scan(g1, 0, func(_ State, _ Letter, to State) { order1 = append(order1, to) })
-	g2 := newGrid(3, 3, true)
+	g2 := newGrid(3, 3)
 	var order2 []State
 	Scan(g2, 0, func(_ State, _ Letter, to State) { order2 = append(order2, to) })
 	if len(order1) != len(order2) {
@@ -74,7 +68,7 @@ func TestScanCanonicalNumbering(t *testing.T) {
 }
 
 func TestScanBudget(t *testing.T) {
-	g := newGrid(10, 10, false)
+	g := newGrid(10, 10)
 	n, err := Scan(g, 5, func(State, Letter, State) {})
 	if err == nil {
 		t.Fatal("want budget error")
@@ -111,27 +105,5 @@ func TestInternerDenseIDs(t *testing.T) {
 	snap := in.Snapshot()
 	if len(snap) != 2 || snap[0] != "a" {
 		t.Errorf("snapshot = %v", snap)
-	}
-}
-
-func TestSyncInternerConcurrent(t *testing.T) {
-	in := NewSyncInterner[int]()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				id := in.Intern(i % 100)
-				if got := in.At(id); got != i%100 {
-					t.Errorf("At(%d) = %d, want %d", id, got, i%100)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if in.Len() != 100 {
-		t.Errorf("len = %d, want 100", in.Len())
 	}
 }
