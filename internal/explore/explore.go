@@ -571,7 +571,18 @@ func (ts *TS) DenseNFA() *automata.DenseNFA {
 }
 
 func (ts *TS) buildDenseNFA() *automata.DenseNFA {
+	letters, eps := 0, 0
+	for _, es := range ts.Out {
+		for _, e := range es {
+			if e.Emit >= 0 {
+				letters++
+			} else {
+				eps++
+			}
+		}
+	}
 	b := automata.NewDenseBuilder(ts.Alphabet.Size())
+	b.Reserve(len(ts.Out), letters, eps)
 	for s := range ts.Out {
 		b.StartState()
 		for _, e := range ts.Out[s] {

@@ -203,7 +203,11 @@ const (
 // that drives the scan); per-check guards must not be shared across
 // concurrently running checks.
 type Guard struct {
-	ctx       context.Context
+	ctx context.Context
+	// done caches ctx.Done() (nil for a context that is never done), so
+	// Check polls it with a non-blocking receive instead of ctx.Err(),
+	// which takes the context's lock on every call.
+	done      <-chan struct{}
 	start     time.Time
 	maxStates int
 	maxMem    uint64
@@ -221,7 +225,7 @@ func New(ctx context.Context, maxStates int, maxMem uint64) *Guard {
 	if maxStates < 0 {
 		maxStates = 0
 	}
-	return &Guard{ctx: ctx, start: time.Now(), maxStates: maxStates, maxMem: maxMem}
+	return &Guard{ctx: ctx, done: ctx.Done(), start: time.Now(), maxStates: maxStates, maxMem: maxMem}
 }
 
 // MaxStates returns the guard's state budget (0 = unlimited).
@@ -251,13 +255,13 @@ func (g *Guard) WithStates(maxStates int) *Guard {
 	if g == nil {
 		return &Guard{ctx: context.Background(), start: time.Now(), maxStates: maxStates}
 	}
-	return &Guard{ctx: g.ctx, start: g.start, maxStates: maxStates, maxMem: g.maxMem}
+	return &Guard{ctx: g.ctx, done: g.done, start: g.start, maxStates: maxStates, maxMem: g.maxMem}
 }
 
 // Active reports whether the guard can ever trip; engines hoist this
 // out of their hot loops so an unlimited scan pays nothing per state.
 func (g *Guard) Active() bool {
-	return g != nil && (g.maxStates > 0 || g.maxMem > 0 || g.ctx.Done() != nil)
+	return g != nil && (g.maxStates > 0 || g.maxMem > 0 || g.done != nil)
 }
 
 // Check is the single consultation point of the engines: called with
@@ -281,13 +285,15 @@ func (g *Guard) Check(states int) error {
 			MaxMemBytes: ms.HeapAlloc, HeapBytes: ms.HeapAlloc,
 		})
 	}
-	if g.ctx.Done() != nil {
-		if err := g.ctx.Err(); err != nil {
+	if g.done != nil {
+		select {
+		case <-g.done:
 			kind := KindCancelled
-			if errors.Is(err, context.DeadlineExceeded) {
+			if errors.Is(g.ctx.Err(), context.DeadlineExceeded) {
 				kind = KindTime
 			}
 			return trip(&LimitError{Kind: kind, Visited: states, Elapsed: time.Since(g.start)})
+		default:
 		}
 	}
 	if g.maxStates > 0 && states > g.maxStates {

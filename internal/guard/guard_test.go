@@ -99,6 +99,32 @@ func TestGuardCancellationAndDeadline(t *testing.T) {
 	}
 }
 
+// A guard derived with WithStates — each stage of the staged
+// materialized pipeline runs under one — keeps its parent's
+// cancellation: it is active without a budget of its own and trips
+// with the kind its context's end calls for.
+func TestGuardWithStatesKeepsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	g := New(ctx, 0, 0).WithStates(0)
+	if !g.Active() {
+		t.Fatal("WithStates guard over a cancellable context reports inactive")
+	}
+	if err := g.Check(1); err != nil {
+		t.Fatalf("pre-cancel Check: %v", err)
+	}
+	cancel()
+	var le *LimitError
+	if err := g.Check(2); !errors.As(err, &le) || le.Kind != KindCancelled {
+		t.Fatalf("post-cancel Check on WithStates guard = %v, want cancelled", err)
+	}
+
+	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer dcancel()
+	if err := New(dctx, 0, 0).WithStates(100).Check(1); !errors.As(err, &le) || le.Kind != KindTime {
+		t.Fatalf("expired-deadline Check on WithStates guard = %v, want wall-clock", err)
+	}
+}
+
 func TestGuardMemoryWatchdog(t *testing.T) {
 	// A 1-byte cap trips on the first sample; an absurdly large cap
 	// never does.

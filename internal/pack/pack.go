@@ -10,7 +10,9 @@
 // caller-provided word buffer; the Map stores the packed words
 // directly in one dense flat slice (stride = words per key) and probes
 // linearly, so interning a state touches no pointers, no interface
-// values, and no per-entry heap cells.
+// values, and no per-entry heap cells. Set is the one-word counterpart
+// without values: the visited set of product pairs in both product
+// searches (on-the-fly safety and the large dense inclusion walk).
 package pack
 
 import "math/bits"

@@ -82,3 +82,30 @@ func TestDeferredTMsNotDirectUpdateSafe(t *testing.T) {
 	}
 	t.Error("no witness found: TL2 words seem direct-update safe, which is suspicious")
 }
+
+// TestLargeProductEnginesAgree pins tl2 πop at (2,3), a product of
+// 1,318,508 × 117,377 > 2²⁸ pairs, so the materialized inclusion walk
+// keeps its visited pairs in a pack.Set rather than its bitset. The
+// on-the-fly search, a second product search over the same pairs,
+// must count the same 4,939,808 of them.
+func TestLargeProductEnginesAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("larger instances are slow")
+	}
+	const pairs = 4939808
+	mat, err := VerifyOpts(tm.NewTL2(2, 3), nil, spec.Opacity, Options{Workers: 1, Engine: EngineMaterialized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.Holds || mat.TMStates != 1318508 || mat.SpecStates != 117376 || mat.Inclusion.PairsVisited != pairs {
+		t.Fatalf("materialized: holds=%v, %d TM states, %d spec states, %d pairs; want SAFE, 1318508, 117376, %d",
+			mat.Holds, mat.TMStates, mat.SpecStates, mat.Inclusion.PairsVisited, pairs)
+	}
+	otf, err := VerifyOpts(tm.NewTL2(2, 3), nil, spec.Opacity, Options{Workers: 1, Engine: EngineOnTheFly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !otf.Holds || otf.Inclusion.PairsVisited != pairs {
+		t.Fatalf("on the fly: holds=%v, %d product pairs; want SAFE, %d", otf.Holds, otf.Inclusion.PairsVisited, pairs)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
+	"tmcheck/internal/pack"
 	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
@@ -251,42 +252,6 @@ func (c *edgeCache) of(s space.State) []otfEdge {
 	return c.rows[s]
 }
 
-// pairSet is an open-addressing set of product pairs packed into one
-// word, tm<<32 | spec. A slot holds the pair + 1 inline (0 is empty),
-// so a probe touches one slot array and nothing else; the table starts
-// small and doubles at 3/4 load.
-type pairSet struct {
-	slots []uint64
-	n     int
-	shift uint // 64 - log2(len(slots)): Fibonacci hashing keeps the top bits
-}
-
-func newPairSet() *pairSet { return &pairSet{slots: make([]uint64, 64), shift: 64 - 6} }
-
-// add inserts p, reporting whether it was absent.
-func (s *pairSet) add(p uint64) bool {
-	if 4*(s.n+1) > 3*len(s.slots) {
-		old := s.slots
-		s.slots, s.n, s.shift = make([]uint64, 2*len(old)), 0, s.shift-1
-		for _, k := range old {
-			if k != 0 {
-				s.add(k - 1)
-			}
-		}
-	}
-	k, mask := p+1, uint64(len(s.slots)-1)
-	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = k
-			s.n++
-			return true
-		case k:
-			return false
-		}
-	}
-}
-
 // otfProgressEvery is the heartbeat granularity of the on-the-fly
 // search on the telemetry bus: one EvProgress per this many expanded
 // product pairs.
@@ -313,11 +278,11 @@ func otfSearch(name string, alg tm.Algorithm, cm tm.ContentionManager, det *spec
 		letter int16 // letter that discovered this pair; -1 for root and ε
 	}
 	nodes := []node{{parent: -1, letter: -1}}
-	seen := newPairSet()
-	seen.add(0)
+	seen := pack.NewSet()
+	seen.Add(0)
 	push := func(tmS, specS space.State, parent int32, letter int16) {
 		p := uint64(tmS)<<32 | uint64(specS)
-		if seen.add(p) {
+		if seen.Add(p) {
 			nodes = append(nodes, node{p: p, parent: parent, letter: letter})
 		}
 	}
